@@ -3,7 +3,7 @@
 PYTHON ?= python
 PROFILE ?= default
 
-.PHONY: install dev test lint docs-check ckpt-smoke race-smoke stream-smoke par-smoke load-smoke verify analysis-report obs-report bench bench-calibrated bench-report bench-report-compile bench-report-parallel bench-smoke bench-stream bench-load serve-smoke examples experiments clean
+.PHONY: install dev test lint docs-check ckpt-smoke race-smoke stream-smoke par-smoke load-smoke perfbench-test verify analysis-report obs-report bench bench-calibrated bench-report bench-report-compile bench-report-parallel bench-smoke bench-stream bench-load serve-smoke examples experiments clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -40,7 +40,11 @@ par-smoke:
 load-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.serve.load_smoke
 
-verify: test lint docs-check ckpt-smoke race-smoke stream-smoke par-smoke load-smoke
+# The benchmark's own tests (outside the tier-1 testpaths, ~3 s).
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
+
+verify: test lint docs-check ckpt-smoke race-smoke stream-smoke par-smoke load-smoke perfbench-test
 
 analysis-report:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis.report

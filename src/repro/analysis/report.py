@@ -88,9 +88,7 @@ def build_small_kgag_loss(seed: int = 0):
         neg,
         user_scores,
         user_labels,
-        model.parameters(),
         beta=config.beta,
-        l2_weight=config.l2_weight,
         loss_kind=config.loss,
         margin=config.margin,
     )

@@ -139,6 +139,18 @@ class TrainState:
                 f"train state was captured from {self.model_class!r}, "
                 f"refusing to restore into {type(trainer.model).__name__!r}"
             )
+        saved_decay = self.optimizer_state.get("scalars", {}).get("weight_decay")
+        decay = getattr(trainer.optimizer, "weight_decay", None)
+        if saved_decay is not None and decay is not None and saved_decay != decay:
+            # The L2 term of Eq. 20 is the optimizer's weight decay
+            # (2·l2_weight); a state written while L2 lived in the loss
+            # carries weight_decay=0 and would silently drop it.
+            raise CheckpointError(
+                f"train state applies weight decay {saved_decay}, this "
+                f"trainer applies {decay} (2 x l2_weight): resume with the "
+                f"l2_weight it was trained with; a state saved while L2 was "
+                f"part of the loss (weight decay 0) cannot be resumed"
+            )
         try:
             trainer.model.load_state_dict(self.model_state)
             trainer.optimizer.load_state_dict(self.optimizer_state)

@@ -42,7 +42,8 @@ class KGAGConfig:
     beta:
         β — weight of the group loss vs the user log loss (Eq. 20).
     l2_weight:
-        λ — L2 regularization coefficient (Eq. 20).
+        λ — L2 regularization coefficient (Eq. 20).  The trainer applies
+        it as Adam weight decay ``2λ`` on the rows each batch touches.
     loss:
         ``"margin"`` (the paper's loss), ``"bpr"`` (the KGAG (BPR)
         ablation) or ``"margin_raw"`` (margin on unsquashed scores — the

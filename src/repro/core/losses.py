@@ -4,16 +4,16 @@
 
 where ``L_group`` is the sigmoid-margin pairwise loss of Eq. 17 (or BPR
 for the KGAG (BPR) ablation) and ``L_user`` the user-item log loss of
-Eq. 18.
+Eq. 18.  :func:`combined_loss` is the data loss, the first two terms.
+The regularizer ``λ ||Θ||²`` is not part of the tape: the trainer's Adam
+applies its gradient ``2λθ`` as weight decay on the rows a batch touches
+(see :mod:`repro.nn.optim`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from ..nn import Tensor, bce_with_logits, bpr_loss, l2_penalty, sigmoid_margin_loss
+from ..nn import Tensor, bce_with_logits, bpr_loss, sigmoid_margin_loss
 from ..nn.losses import margin_loss_raw
-from ..nn.module import Parameter
 
 __all__ = ["group_ranking_loss", "combined_loss"]
 
@@ -43,13 +43,11 @@ def combined_loss(
     group_neg_scores: Tensor | None,
     user_scores: Tensor | None,
     user_labels,
-    parameters: Iterable[Parameter],
     beta: float = 0.7,
-    l2_weight: float = 1e-5,
     loss_kind: str = "margin",
     margin: float = 0.4,
 ) -> Tensor:
-    """Eq. 20 with graceful handling of empty heads.
+    """Eq. 20's data loss ``β L_group + (1-β) L_user``, empty heads handled.
 
     A mini-batch may occasionally lack user pairs (tiny datasets); the
     corresponding term is then dropped rather than producing a 0/0.
@@ -66,6 +64,4 @@ def combined_loss(
         total = scaled if total is None else total + scaled
     if total is None:
         raise ValueError("combined_loss needs at least one non-empty head")
-    if l2_weight:
-        total = total + l2_penalty(parameters) * l2_weight
     return total

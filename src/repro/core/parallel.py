@@ -1,12 +1,5 @@
 """Data-parallel training over shared-memory parameter tables.
 
-The sequential trainer pays two full-table costs on *every* optimizer
-step: the L2 term of Eq. 20 reads and writes every parameter row, and
-dense Adam then updates every row of every table again — even though a
-mini-batch of group triplets touches only its receptive field.  At
-production table sizes (ROADMAP: million-entity graphs) those two
-full-table passes dwarf the batch's actual forward/backward work.
-
 :class:`WorkerPool` restructures an epoch around N ``multiprocessing``
 workers:
 
@@ -15,19 +8,19 @@ workers:
   weights with **zero copies** — the parent's in-place optimizer updates
   are immediately visible through the shared mapping.
 * Each worker owns a fixed row shard of the training tables (rows
-  ``w::N``) and runs the existing fused forward/backward — through the
-  compiled executor when the trainer was built with ``compile=True`` —
-  computing the *data* loss only (the L2 term is applied row-locally at
-  reduction time, see below).
-* Workers emit **sparse** gradients: for embedding-like tables, the
-  ``(row-index, value)`` pairs of the rows the batch actually touched.
+  ``w::N``) and runs the trainer's own fused forward/backward — through
+  the compiled executor when the trainer was built with
+  ``compile=True`` — on the data loss of Eq. 20.
+* Workers ship their gradients as the optimizer's update payloads
+  (:func:`~repro.nn.optim.extract_gradients`): for embedding tables,
+  the ``(row-index, value)`` pairs of the rows the batch touched.
 * One *round* = one batch from every active worker.  The parent merges
-  the round's sparse gradients in a fixed ``(parameter, worker)`` order
-  through the same ``_index_add`` segment-sum path the backward pass
-  uses, folds the L2 gradient in on the touched rows only (lazy
-  regularization, standard for sparse training), and applies a single
-  averaged optimizer step via
-  :meth:`~repro.nn.optim.Optimizer.step_rows`.
+  the round's payloads in a fixed ``(parameter, worker)`` order through
+  the same ``_index_add`` segment-sum path the backward pass uses, clips
+  the merged gradient, and applies a single averaged optimizer step via
+  :meth:`~repro.nn.optim.Optimizer.step_rows` — the row-sparse rule and
+  lazy L2 (weight decay on the touched rows) that the sequential
+  ``step()`` applies per batch.
 
 Determinism
 -----------
@@ -37,7 +30,7 @@ are fixed slices, each worker draws from its own
 worker-id order, and the sparse merge compacts rows with ``np.unique``
 (a deterministic sort) before the segment sum.  ``workers=1`` bypasses
 this module entirely — :class:`~repro.core.trainer.KGAGTrainer` runs
-today's sequential step loop, bit-exactly.
+its sequential step loop.
 
 Lifecycle
 ---------
@@ -62,6 +55,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..data.loader import MixedBatchLoader
+from ..nn.optim import extract_gradients
 from ..nn.tensor import _index_add, no_grad
 from ..rng import generator_state
 
@@ -71,13 +65,7 @@ __all__ = [
     "WorkerPool",
     "extract_gradients",
     "merge_gradients",
-    "SPARSE_MIN_ROWS",
 ]
-
-#: Tables with at least this many rows ship sparse (row, value) gradients;
-#: smaller parameters always travel dense (the indexing bookkeeping would
-#: cost more than the rows it saves).
-SPARSE_MIN_ROWS = 32
 
 _SEGMENT_PREFIX = "repro-par"
 
@@ -167,44 +155,19 @@ class SharedParamStore:
 
 
 # ---------------------------------------------------------------------------
-# sparse gradient extraction / deterministic merge
+# deterministic merge
 # ---------------------------------------------------------------------------
-
-
-def _sparse_eligible(parameter) -> bool:
-    return parameter.data.ndim == 2 and parameter.data.shape[0] >= SPARSE_MIN_ROWS
-
-
-def extract_gradients(parameters) -> list:
-    """Per-parameter gradient payloads for one worker batch.
-
-    Embedding-like tables (2-D, ``>= SPARSE_MIN_ROWS`` rows) whose
-    gradient touches under half the table ship ``("rows", idx, values)``;
-    everything else ships ``("dense", grad)``.  ``None`` marks a
-    parameter backward never reached.
-    """
-    payloads = []
-    for parameter in parameters:
-        grad = parameter.grad
-        if grad is None:
-            payloads.append(None)
-            continue
-        if _sparse_eligible(parameter):
-            rows = np.flatnonzero(grad.any(axis=1))
-            if rows.size * 2 < grad.shape[0]:
-                payloads.append(("rows", rows, np.ascontiguousarray(grad[rows])))
-                continue
-        payloads.append(("dense", np.ascontiguousarray(grad)))
-    return payloads
 
 
 def merge_gradients(per_worker: list[list], num_parameters: int) -> list:
     """Average one round's payloads in fixed ``(parameter, worker)`` order.
 
-    For sparse payloads the concatenated ``(row, value)`` pairs are
-    compacted to unique rows through the tape's ``_index_add`` segment-sum
-    (``np.unique`` supplies a deterministically sorted row order), so the
-    merged result is identical run-to-run at any worker count.  Returns
+    Every worker ships a parameter in the same form (its ``row_sparse``
+    flag picks it).  For sparse payloads the concatenated ``(row, value)``
+    pairs are compacted to unique rows through the tape's ``_index_add``
+    segment-sum (``np.unique`` supplies a deterministically sorted row
+    order), so the merged result is identical run-to-run at any worker
+    count.  Returns
     per-parameter entries ``None`` / ``("dense", grad)`` /
     ``("rows", rows, values)``, already divided by the number of
     contributing workers (the round's step is the gradient of the mean
@@ -218,15 +181,10 @@ def merge_gradients(per_worker: list[list], num_parameters: int) -> list:
         if not entries:
             merged.append(None)
             continue
-        if any(entry[0] == "dense" for entry in entries):
-            dense = next(entry[1] for entry in entries if entry[0] == "dense")
-            total = np.zeros_like(dense)
+        if entries[0][0] == "dense":
+            total = np.zeros_like(entries[0][1])
             for entry in entries:  # fixed worker order
-                if entry[0] == "dense":
-                    total += entry[1]
-                else:
-                    _, rows, values = entry
-                    _index_add(total, rows, values)
+                total += entry[1]
             merged.append(("dense", total * scale))
             continue
         all_rows = np.concatenate([entry[1] for entry in entries])
@@ -238,28 +196,6 @@ def merge_gradients(per_worker: list[list], num_parameters: int) -> list:
         _index_add(summed, inverse.astype(np.int64), all_values)
         merged.append(("rows", unique_rows, summed * scale))
     return merged
-
-
-def _fold_l2(merged: list, parameters, l2_weight: float) -> None:
-    """Add the L2 gradient (``2·λ·θ``) row-locally onto merged payloads.
-
-    Workers compute the data loss only; the regularizer of Eq. 20 is
-    applied here on exactly the rows the round touched (lazy
-    regularization — untouched rows decay on the round that next uses
-    them, the standard sparse-training treatment).
-    """
-    if not l2_weight:
-        return
-    coefficient = 2.0 * l2_weight
-    for entry, parameter in zip(merged, parameters):
-        if entry is None:
-            continue
-        if entry[0] == "dense":
-            dense = entry[1]
-            dense += coefficient * parameter.data
-        else:
-            _, rows, values = entry
-            values += coefficient * parameter.data[rows]
 
 
 def _clip_merged(merged: list, max_norm: float) -> float:
@@ -357,9 +293,6 @@ def _worker_main(worker_id: int, workers: int, connection, trainer) -> None:
     cache, loader state) is private after copy-on-write.
     """
     try:
-        # Workers compute the data loss only; the parent folds the L2
-        # term in at reduction time (see ``_fold_l2``).
-        trainer.config = trainer.config.with_overrides(l2_weight=0.0)
         trainer._programs = {}
         trainer.model.train()
         loader = _build_shard_loader(trainer, worker_id, workers)
@@ -531,7 +464,6 @@ class WorkerPool:
             if not round_payloads:
                 continue
             merged = merge_gradients(round_payloads, len(self._parameters))
-            _fold_l2(merged, self._parameters, trainer.config.l2_weight)
             if trainer.config.max_grad_norm is not None:
                 _clip_merged(merged, trainer.config.max_grad_norm)
             trainer.optimizer.step_rows(merged)

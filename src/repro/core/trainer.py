@@ -2,6 +2,12 @@
 
 Adam over mixed group+user mini-batches, optional early stopping on
 validation hit@5, per-epoch history for the experiment harnesses.
+Each step backpropagates the data loss of Eq. 20 (:func:`combined_loss`),
+clips it, and hands it to ``Adam.step()``, which applies the row-sparse
+rule of :mod:`repro.nn.optim`: embedding tables step only the rows the
+batch touched, and the regularizer ``λ||Θ||²`` enters as weight decay
+``2λθ`` on exactly those rows (and on every dense parameter).  Reported
+losses are data losses; they exclude the regularizer.
 Optional observability (`metrics=` / `run_log=` / `diagnostics=`): a
 :class:`~repro.obs.metrics.MetricsRegistry` receives loss, gradient
 norm and epoch/step timing series, and a
@@ -73,8 +79,9 @@ class KGAGTrainer:
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  When
         given, the trainer maintains ``train/steps_total`` and
-        ``train/epochs_total`` counters, ``train/loss`` and
-        ``train/grad_norm`` gauges, and ``train/step_seconds`` /
+        ``train/epochs_total`` counters, ``train/loss`` (data loss) and
+        ``train/grad_norm`` (data gradient before clipping; the weight
+        decay is added after it) gauges, and ``train/step_seconds`` /
         ``train/epoch_seconds`` histograms.  Defaults to the shared
         no-op registry: disabled training computes no gradient norm and
         installs no tape hooks.
@@ -121,16 +128,17 @@ class KGAGTrainer:
         reassociation in the batched engine kernels).
     workers:
         Number of data-parallel training processes
-        (:mod:`repro.core.parallel`).  ``workers=1`` (the default) is
-        today's sequential step loop, untouched and bit-exact.  With
+        (:mod:`repro.core.parallel`).  ``workers=1`` (the default) is the
+        sequential step loop: one ``Adam.step()`` per batch.  With
         ``workers=N`` the first parallel epoch forks N workers around a
         shared-memory parameter store; each epoch splits the batch
-        schedule across fixed row shards and applies one merged sparse
-        optimizer step per round of N batches.  Deterministic at a fixed
-        worker count, but *not* bit-exact with the sequential schedule
-        (fewer, averaged optimizer steps; sparse-Adam moments).  Call
-        :meth:`close` (or use the trainer as a context manager) to stop
-        the workers and release the shared segments.
+        schedule across fixed row shards and applies one merged
+        ``Adam.step_rows`` per round of N batches.  Both use the same
+        row-sparse update rule and lazy L2; the parallel schedule is
+        deterministic at a fixed worker count but *not* bit-exact with
+        the sequential one (fewer steps, on gradients averaged over N
+        batches).  Call :meth:`close` (or use the trainer as a context
+        manager) to stop the workers and release the shared segments.
     """
 
     def __init__(
@@ -162,7 +170,13 @@ class KGAGTrainer:
             batch_size=self.config.batch_size,
             rng=self.rng,
         )
-        self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
+        # λ||Θ||² of Eq. 20 as coupled weight decay (gradient 2λθ), applied
+        # by the row-sparse rule on the rows each batch touches.
+        self.optimizer = Adam(
+            model.parameters(),
+            lr=self.config.learning_rate,
+            weight_decay=2.0 * self.config.l2_weight,
+        )
         self.history = TrainingHistory()
         self._best_state: dict | None = None
         self._patience_left = self.config.patience
@@ -211,7 +225,7 @@ class KGAGTrainer:
 
     # ------------------------------------------------------------------
     def train_step(self, batch) -> float:
-        """One optimization step on a mixed batch; returns the loss.
+        """One optimization step on a mixed batch; returns the data loss.
 
         With ``sanitize=True`` the forward/backward runs inside a
         :class:`~repro.analysis.sanitizer.TapeSanitizer`, so numerical
@@ -236,6 +250,8 @@ class KGAGTrainer:
             # Pre-clipping global norm; guarded so the disabled path does
             # not pay the extra reduction over every parameter.
             self._m_grad_norm.set(self._gradient_norm())
+        # Norm and clip see the data gradient only; Adam adds the weight
+        # decay (the L2 term) after clipping, on the rows it steps.
         if self.config.max_grad_norm is not None:
             clip_grad_norm(self.model.parameters(), self.config.max_grad_norm)
         self.optimizer.step()
@@ -252,7 +268,7 @@ class KGAGTrainer:
         return grad_l2_norm(self.model.parameters())
 
     def _forward_backward(self, batch):
-        """Compute the combined loss for one batch and run backward."""
+        """Compute the data loss for one batch and run backward."""
         if self.compile:
             return self._forward_backward_compiled(batch)
         self.optimizer.zero_grad()
@@ -276,9 +292,7 @@ class KGAGTrainer:
             neg_scores,
             user_scores,
             user_labels,
-            self.model.parameters(),
             beta=self.config.beta,
-            l2_weight=self.config.l2_weight,
             loss_kind=self.config.loss,
             margin=self.config.margin,
         )
@@ -289,7 +303,7 @@ class KGAGTrainer:
     # compiled train path (repro.nn.compile)
     # ------------------------------------------------------------------
     def _planned_loss(self, plan: TrainStepPlan) -> Tensor:
-        """Combined loss over a precomputed plan (no backward)."""
+        """Data loss over a precomputed plan (no backward)."""
         pos_scores, neg_scores, user_scores, user_labels = (
             self.model.scores_from_plan(plan)
         )
@@ -298,9 +312,7 @@ class KGAGTrainer:
             neg_scores,
             user_scores,
             user_labels,
-            self.model.parameters(),
             beta=self.config.beta,
-            l2_weight=self.config.l2_weight,
             loss_kind=self.config.loss,
             margin=self.config.margin,
         )
@@ -409,7 +421,7 @@ class KGAGTrainer:
         return loss
 
     def train_epoch(self) -> float:
-        """One pass over the training data; returns the mean batch loss.
+        """One pass over the training data; returns the mean batch data loss.
 
         With ``workers > 1`` the pass runs data-parallel through the
         worker pool (created lazily on the first parallel epoch);

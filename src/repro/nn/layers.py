@@ -67,7 +67,8 @@ class Embedding(Module):
 
     Backward is a scatter-add, so a row indexed multiple times in one batch
     receives the sum of its gradients — the semantics every mini-batch
-    recommender depends on.
+    recommender depends on.  The weight is ``row_sparse``: an optimizer
+    step touches only the rows a batch gathered.
     """
 
     def __init__(
@@ -84,6 +85,7 @@ class Embedding(Module):
         self.weight = Parameter(
             initializers.normal((num_embeddings, embedding_dim), rng, std=std),
             name="weight",
+            row_sparse=True,
         )
 
     def forward(self, indices) -> Tensor:

@@ -4,7 +4,9 @@
 * :func:`bpr_loss` — Bayesian personalized ranking, the KGAG (BPR) ablation.
 * :func:`sigmoid_margin_loss` — the paper's novel pairwise loss (Eqs. 16-17):
   ``max(sigma(y_neg) - sigma(y_pos) + M, 0)``.
-* :func:`l2_penalty` — the ``lambda * ||Theta||^2`` term of Eq. 20.
+* :func:`l2_penalty` — ``||Theta||^2`` of Eq. 20 as a dense tape term
+  (training applies ``lambda * ||Theta||^2`` as row-sparse weight decay
+  in :mod:`repro.nn.optim` instead).
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def mse_loss(predictions: Tensor, targets, reduction: str = "mean") -> Tensor:
 
 
 def l2_penalty(parameters: Iterable[Parameter]) -> Tensor:
-    """Sum of squared parameter values: ``||Theta||^2`` in Eq. 20."""
+    """Sum of squared parameter values: ``||Theta||^2`` in Eq. 20 (dense)."""
     total: Tensor | None = None
     for parameter in parameters:
         term = (parameter * parameter).sum()

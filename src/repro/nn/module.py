@@ -22,10 +22,13 @@ class Parameter(Tensor):
 
     Identical to :class:`Tensor` except ``requires_grad`` defaults to True
     and :class:`Module` auto-registers attributes of this type.
+    ``row_sparse`` marks an embedding table: optimizers step only the
+    rows whose gradient is nonzero (see :mod:`repro.nn.optim`).
     """
 
-    def __init__(self, data, name: str | None = None):
+    def __init__(self, data, name: str | None = None, row_sparse: bool = False):
         super().__init__(data, requires_grad=True, name=name)
+        self.row_sparse = bool(row_sparse)
 
 
 class Module:

@@ -2,6 +2,16 @@
 
 The paper trains with Adam (Sec. III-E); SGD-with-momentum is provided for
 comparison benchmarks and as a simpler reference implementation.
+
+Both apply one row-sparse update rule.  A ``row_sparse`` parameter (the
+weight of an :class:`~repro.nn.layers.Embedding`) steps only the rows
+whose gradient is nonzero: those rows' optimizer state (Adam ``m``/``v``,
+SGD velocity) and their weight decay are updated, while untouched rows
+and their state stay exactly as they were.  Every other parameter takes
+a dense step.  Weight decay is the L2 gradient ``weight_decay * theta``
+added after any gradient clipping (coupled, as in ``torch.optim``), so
+``weight_decay = 2 * lambda`` is the gradient of ``lambda * ||theta||^2``
+restricted to the rows a batch touched.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ __all__ = [
     "StepLR",
     "ExponentialLR",
     "clip_grad_norm",
+    "extract_gradients",
     "grad_l2_norm",
 ]
 
@@ -60,6 +71,36 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
     return total
 
 
+def extract_gradients(parameters: Iterable[Parameter]) -> list:
+    """Per-parameter update payloads of the current gradients.
+
+    A ``row_sparse`` parameter yields ``("rows", rows, values)`` for
+    exactly the rows whose gradient is nonzero (``rows`` sorted and
+    unique); every other parameter yields ``("dense", grad)``; ``None``
+    marks a parameter backward never reached.  This is the input of
+    :meth:`Optimizer.step_rows` — both the sequential ``step()`` and the
+    data-parallel workers build their payloads here.
+    """
+    payloads = []
+    for parameter in parameters:
+        grad = parameter.grad
+        if grad is None:
+            payloads.append(None)
+        elif parameter.row_sparse:
+            rows = np.flatnonzero(grad.any(axis=1))
+            payloads.append(("rows", rows, grad[rows]))
+        else:
+            payloads.append(("dense", np.ascontiguousarray(grad)))
+    return payloads
+
+
+def _unpack(entry) -> tuple:
+    """``(index, values)`` of one payload; a dense index covers the array."""
+    if entry[0] == "dense":
+        return Ellipsis, entry[1]
+    return entry[1], entry[2]
+
+
 class Optimizer:
     """Base optimizer: holds parameters and a learning rate."""
 
@@ -77,20 +118,31 @@ class Optimizer:
             parameter.zero_grad()
 
     def step(self) -> None:
+        """One step from the parameters' own gradients.
+
+        Equivalent to ``step_rows(extract_gradients(self.parameters))``.
+        """
         raise NotImplementedError
 
     def step_rows(self, updates: list) -> None:
-        """Apply one step from merged gradient payloads (parallel trainer).
+        """Apply one step from gradient payloads.
 
         ``updates`` aligns with ``self.parameters``; each entry is
         ``None`` (skip), ``("dense", grad)``, or ``("rows", rows, values)``
-        — the sparse form touches only the listed rows of the parameter
-        *and of the optimizer's per-row state buffers*.  Sparse-Adam
-        semantics: untouched rows' moments neither decay nor step, so a
+        (see :func:`extract_gradients`) — the sparse form touches only the
+        listed rows of the parameter *and of the optimizer's per-row state
+        buffers*.  Untouched rows' state neither decays nor steps, so a
         sparse step is intentionally not equivalent to a dense step with
-        zero-filled gradients (see docs/parallelism.md).
+        zero-filled gradients (see docs/training.md).  Parameters are
+        updated in place, so shared-memory buffers keep their identity.
         """
         raise NotImplementedError
+
+    def _check_updates(self, updates: list) -> None:
+        if len(updates) != len(self.parameters):
+            raise ValueError(
+                f"got {len(updates)} updates for {len(self.parameters)} parameters"
+            )
 
     # -- checkpointing ------------------------------------------------------
     def state_dict(self) -> dict:
@@ -176,49 +228,23 @@ class SGD(Optimizer):
         self._velocity = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
-        with no_grad():
-            for parameter, velocity in zip(self.parameters, self._velocity):
-                if parameter.grad is None:
-                    continue
-                grad = parameter.grad
-                if self.weight_decay:
-                    grad = grad + self.weight_decay * parameter.data
-                if self.momentum:
-                    velocity *= self.momentum
-                    velocity += grad
-                    grad = velocity
-                parameter.data -= self.lr * grad
+        self.step_rows(extract_gradients(self.parameters))
 
     def step_rows(self, updates: list) -> None:
-        if len(updates) != len(self.parameters):
-            raise ValueError(
-                f"got {len(updates)} updates for {len(self.parameters)} parameters"
-            )
+        self._check_updates(updates)
         with no_grad():
             for parameter, velocity, entry in zip(
                 self.parameters, self._velocity, updates
             ):
                 if entry is None:
                     continue
-                if entry[0] == "dense":
-                    grad = entry[1]
-                    if self.weight_decay:
-                        grad = grad + self.weight_decay * parameter.data
-                    if self.momentum:
-                        velocity *= self.momentum
-                        velocity += grad
-                        grad = velocity
-                    parameter.data -= self.lr * grad
-                else:
-                    _, rows, values = entry
-                    if self.weight_decay:
-                        values = values + self.weight_decay * parameter.data[rows]
-                    if self.momentum:
-                        velocity[rows] = self.momentum * velocity[rows] + values
-                        values = velocity[rows]
-                    # In-place subtract keeps the (possibly shared-memory)
-                    # parameter buffer's identity.
-                    parameter.data[rows] -= self.lr * values
+                index, grad = _unpack(entry)
+                if self.weight_decay:
+                    grad = grad + self.weight_decay * parameter.data[index]
+                if self.momentum:
+                    velocity[index] = self.momentum * velocity[index] + grad
+                    grad = velocity[index]
+                parameter.data[index] -= self.lr * grad
 
     def _scalar_state(self) -> dict:
         return {
@@ -239,7 +265,9 @@ class SGD(Optimizer):
 class Adam(Optimizer):
     """Adaptive moment estimation (Kingma & Ba, 2015).
 
-    This is the optimizer the paper uses for all experiments.
+    This is the optimizer the paper uses for all experiments.  On a
+    ``row_sparse`` parameter it is lazy Adam: only the rows a batch
+    touched update their moments and take a step (module docstring).
     """
 
     def __init__(
@@ -263,30 +291,10 @@ class Adam(Optimizer):
         self._v = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
-        self._step_count += 1
-        t = self._step_count
-        bias1 = 1.0 - self.beta1**t
-        bias2 = 1.0 - self.beta2**t
-        with no_grad():
-            for parameter, m, v in zip(self.parameters, self._m, self._v):
-                if parameter.grad is None:
-                    continue
-                grad = parameter.grad
-                if self.weight_decay:
-                    grad = grad + self.weight_decay * parameter.data
-                m *= self.beta1
-                m += (1.0 - self.beta1) * grad
-                v *= self.beta2
-                v += (1.0 - self.beta2) * grad**2
-                m_hat = m / bias1
-                v_hat = v / bias2
-                parameter.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.step_rows(extract_gradients(self.parameters))
 
     def step_rows(self, updates: list) -> None:
-        if len(updates) != len(self.parameters):
-            raise ValueError(
-                f"got {len(updates)} updates for {len(self.parameters)} parameters"
-            )
+        self._check_updates(updates)
         self._step_count += 1
         t = self._step_count
         bias1 = 1.0 - self.beta1**t
@@ -297,30 +305,16 @@ class Adam(Optimizer):
             ):
                 if entry is None:
                     continue
-                if entry[0] == "dense":
-                    grad = entry[1]
-                    if self.weight_decay:
-                        grad = grad + self.weight_decay * parameter.data
-                    m *= self.beta1
-                    m += (1.0 - self.beta1) * grad
-                    v *= self.beta2
-                    v += (1.0 - self.beta2) * grad**2
-                    m_hat = m / bias1
-                    v_hat = v / bias2
-                    parameter.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-                else:
-                    _, rows, values = entry
-                    if self.weight_decay:
-                        values = values + self.weight_decay * parameter.data[rows]
-                    m_rows = self.beta1 * m[rows] + (1.0 - self.beta1) * values
-                    v_rows = self.beta2 * v[rows] + (1.0 - self.beta2) * values**2
-                    m[rows] = m_rows
-                    v[rows] = v_rows
-                    # In-place row subtract keeps the (possibly
-                    # shared-memory) parameter buffer's identity.
-                    parameter.data[rows] -= (
-                        self.lr * (m_rows / bias1) / (np.sqrt(v_rows / bias2) + self.eps)
-                    )
+                index, grad = _unpack(entry)
+                if self.weight_decay:
+                    grad = grad + self.weight_decay * parameter.data[index]
+                m_rows = self.beta1 * m[index] + (1.0 - self.beta1) * grad
+                v_rows = self.beta2 * v[index] + (1.0 - self.beta2) * grad**2
+                m[index] = m_rows
+                v[index] = v_rows
+                parameter.data[index] -= (
+                    self.lr * (m_rows / bias1) / (np.sqrt(v_rows / bias2) + self.eps)
+                )
 
     def _scalar_state(self) -> dict:
         return {

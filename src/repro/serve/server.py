@@ -113,6 +113,7 @@ class RecommendationService:
     ):
         self._index_lock = threading.Lock()
         self._index = index  # guarded-by: _index_lock
+        self._generation = 0  # guarded-by: _index_lock
         self.cache = ScoreCache(cache_capacity) if cache_capacity > 0 else None
         self.engine = RankingEngine(index, cache=self.cache)
         self.batcher = MicroBatcher(
@@ -244,6 +245,11 @@ class RecommendationService:
         with self._index_lock:
             return self._index
 
+    def _index_snapshot(self) -> tuple[int, object]:
+        """``(generation, index)``; the generation counts reloads."""
+        with self._index_lock:
+            return self._generation, self._index
+
     def _fallback_scores(self, group_id: int) -> np.ndarray:
         """Popularity scores frozen in the index (group-independent)."""
         return self.index.item_popularity
@@ -276,7 +282,11 @@ class RecommendationService:
 
     # -- API operations ---------------------------------------------------
     def recommend(self, group_id: int, k: int = 5, exclude_seen: bool = True) -> dict:
-        """Top-K answer for one group, degrading gracefully."""
+        """Top-K answer for one group, degrading gracefully.
+
+        Its scores, seen mask, cache entry and ``index_version`` all come
+        from one index, also when :meth:`reload_index` runs meanwhile.
+        """
         with self._admitted("recommend"):
             return self._recommend(group_id, k, exclude_seen)
 
@@ -285,19 +295,25 @@ class RecommendationService:
         if k <= 0:
             raise ServiceError("k must be positive")
         start = time.perf_counter()
-        # One index snapshot per request: a concurrent reload must not
-        # mix versions between the cache key, the mask and the payload.
-        index = self.index
-        cached = (
-            self.cache.get((group_id, index.version))
-            if self.cache is not None
-            else None
-        )
-        if cached is not None:
-            scores, source = cached, "cache"
-        else:
-            answer = self.resilient.scores(group_id)
-            scores, source = answer.scores, answer.source
+        # One index per answer: the cache key, the scores, the seen mask
+        # and the version label.  The micro-batcher (and the popularity
+        # fallback) score against the live index, so a reload that lands
+        # while this read is in flight bumps the generation and the read
+        # is scored again against the new index.
+        while True:
+            generation, index = self._index_snapshot()
+            cached = (
+                self.cache.get((group_id, index.version))
+                if self.cache is not None
+                else None
+            )
+            if cached is not None:
+                scores, source = cached, "cache"
+            else:
+                answer = self.resilient.scores(group_id)
+                scores, source = answer.scores, answer.source
+            if self._index_snapshot()[0] == generation:
+                break
         seen = index.seen_items(group_id) if exclude_seen else None
         items = RankingEngine.rank(scores, seen, k)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -410,9 +426,10 @@ class RecommendationService:
 
         The service and engine references flip under one lock, so a
         concurrent request snapshots either the old or the new index —
-        never a mix.  In-flight requests keep scoring against the index
-        they captured; version-qualified cache keys keep their entries
-        from leaking across the reload.
+        never a mix.  A request in flight across the flip is scored
+        again against the new index (see :meth:`recommend`);
+        version-qualified cache keys keep entries from leaking across
+        the reload.
 
         ``drop_cache=False`` leaves the cache alone — the pool's
         coordinated hot-swap uses it so old-version entries can keep
@@ -422,6 +439,7 @@ class RecommendationService:
         with self._index_lock:
             old_version = self._index.version
             self._index = index
+            self._generation += 1
             self.engine.index = index
         dropped = 0
         if drop_cache and self.cache is not None:

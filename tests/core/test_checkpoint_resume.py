@@ -263,6 +263,28 @@ class TestTrainStateRoundTrip:
         with pytest.raises(CheckpointError, match="SomethingElse"):
             state.restore(trainer)
 
+    def test_state_without_weight_decay_is_refused_on_resume(
+        self, small_dataset, small_split, resume_config, tmp_path
+    ):
+        # A TrainState written while L2 was part of the loss carries an
+        # Adam weight_decay of 0; resuming it must not drop the L2 term.
+        trainer = _trainer(small_dataset, small_split, resume_config)
+        trainer.fit(checkpoint_dir=tmp_path)
+        manager = CheckpointManager(tmp_path)
+        state = TrainState.load(manager.latest_path())
+        assert state.optimizer_state["scalars"]["weight_decay"] == (
+            2.0 * resume_config.l2_weight
+        )
+        state.optimizer_state["scalars"]["weight_decay"] = 0.0
+        state.save(manager.latest_path())
+
+        resumed = _trainer(small_dataset, small_split, resume_config)
+        before = resumed.model.state_dict()
+        with pytest.raises(CheckpointError, match="weight decay"):
+            resumed.fit(checkpoint_dir=tmp_path, resume=True)
+        assert resumed.optimizer.weight_decay == 2.0 * resume_config.l2_weight
+        _assert_state_dicts_equal(resumed.model.state_dict(), before)
+
     def test_corrupt_checkpoint_raises_checkpoint_error(
         self, small_dataset, small_split, resume_config, tmp_path
     ):

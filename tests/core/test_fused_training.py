@@ -70,8 +70,7 @@ class TestFusedPairScoring:
                 pos_s = model.group_item_scores(groups, pos)
                 neg_s = model.group_item_scores(groups, neg)
             loss = combined_loss(
-                pos_s, neg_s, None, None, model.parameters(),
-                beta=1.0, l2_weight=1e-5,
+                pos_s, neg_s, None, None, beta=1.0
             )
             loss.backward()
             return {
@@ -203,7 +202,7 @@ class TestGradientNorm:
         groups, pos, neg = make_batch(dataset, seed=3)
         pos_s, neg_s = model.group_item_scores_pair(groups, pos, neg)
         combined_loss(
-            pos_s, neg_s, None, None, model.parameters(), beta=1.0, l2_weight=1e-5
+            pos_s, neg_s, None, None, beta=1.0
         ).backward()
         naive = float(
             np.sqrt(

@@ -22,21 +22,19 @@ class TestCombinedLoss:
             Tensor(np.array([0.0])),
             None,
             None,
-            [],
             beta=0.7,
-            l2_weight=0.0,
         )
         assert loss.item() > 0
 
     def test_needs_some_head(self):
         with pytest.raises(ValueError):
-            combined_loss(None, None, None, None, [], l2_weight=0.0)
+            combined_loss(None, None, None, None)
 
     def test_beta_weights_heads(self):
         pos, neg = Tensor(np.array([0.0])), Tensor(np.array([0.0]))
         scores, labels = Tensor(np.array([0.0])), Tensor(np.array([1.0]))
-        low = combined_loss(pos, neg, scores, labels, [], beta=0.1, l2_weight=0.0)
-        high = combined_loss(pos, neg, scores, labels, [], beta=0.9, l2_weight=0.0)
+        low = combined_loss(pos, neg, scores, labels, beta=0.1)
+        high = combined_loss(pos, neg, scores, labels, beta=0.9)
         # group term at 0/0 scores = margin 0.4 > bce(0,1) ~ 0.693? no:
         # bce(0,1)=0.693 > 0.4 so smaller beta (more bce) gives larger loss.
         assert low.item() > high.item()
@@ -174,6 +172,74 @@ class TestTrainer:
         # config validates).
         assert np.isfinite(after).all()
         assert not np.allclose(before, after)  # training did happen
+
+    def test_step_leaves_untouched_entity_rows_and_moments_unchanged(
+        self, small_dataset, small_split, fast_config
+    ):
+        trainer = KGAGTrainer(
+            build_model(small_dataset, fast_config.with_overrides(batch_size=8)),
+            small_split.train,
+            small_dataset.user_item,
+        )
+        table = trainer.model.propagation.entity_embedding.weight
+        slot = trainer.optimizer.parameters.index(table)
+        batches = trainer.loader.epoch()
+        for _ in range(3):  # moments are nonzero after the first step
+            before = [
+                a.copy()
+                for a in (table.data, trainer.optimizer._m[slot], trainer.optimizer._v[slot])
+            ]
+            trainer.train_step(next(batches))
+            touched = np.flatnonzero(table.grad.any(axis=1))
+            untouched = np.setdiff1d(np.arange(table.shape[0]), touched)
+            assert 0 < touched.size < table.shape[0]
+            after = (table.data, trainer.optimizer._m[slot], trainer.optimizer._v[slot])
+            for old, new in zip(before, after):
+                assert np.array_equal(old[untouched], new[untouched])
+
+    def test_l2_is_weight_decay_not_part_of_the_loss(
+        self, small_dataset, small_split, fast_config
+    ):
+        config = fast_config.with_overrides(l2_weight=0.25)
+        trainer = KGAGTrainer(
+            build_model(small_dataset, config), small_split.train, small_dataset.user_item
+        )
+        assert trainer.optimizer.weight_decay == 2.0 * 0.25
+        reference = KGAGTrainer(
+            build_model(small_dataset, config.with_overrides(l2_weight=0.0)),
+            small_split.train,
+            small_dataset.user_item,
+        )
+        batch = next(trainer.loader.epoch())
+        # The reported loss is the data loss: λ does not enter it.
+        assert trainer.train_step(batch) == reference.train_step(batch)
+
+    def test_worker_payload_rows_are_the_rows_the_step_updates(
+        self, small_dataset, small_split, fast_config
+    ):
+        from repro.core.parallel import extract_gradients
+
+        trainer = KGAGTrainer(
+            build_model(small_dataset, fast_config.with_overrides(batch_size=8)),
+            small_split.train,
+            small_dataset.user_item,
+        )
+        parameters = list(trainer.model.parameters())
+        batch = next(trainer.loader.epoch())
+        # What a parallel worker ships for this batch ...
+        trainer._forward_backward(batch)
+        payloads = extract_gradients(parameters)
+        before = [p.data.copy() for p in parameters]
+        # ... and what the sequential step then changes.
+        trainer.optimizer.step()
+        sparse = 0
+        for parameter, payload, old in zip(parameters, payloads, before):
+            if payload is None or payload[0] == "dense":
+                continue
+            sparse += 1
+            changed = np.flatnonzero((parameter.data != old).any(axis=1))
+            assert np.array_equal(changed, payload[1])
+        assert sparse == 2  # entity and relation embedding tables
 
     def test_max_grad_norm_validation(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,6 @@ import pytest
 
 from repro.core import KGAGConfig, KGAGTrainer
 from repro.core.parallel import (
-    SPARSE_MIN_ROWS,
     ParallelStats,
     SharedParamStore,
     extract_gradients,
@@ -338,12 +337,14 @@ class TestKillAndResume:
 
 
 class TestSparsePayloads:
-    def _param(self, rows, dim=4, seed=0):
+    def _param(self, rows, dim=4, seed=0, row_sparse=True):
         rng = np.random.default_rng(seed)
-        return Parameter(rng.standard_normal((rows, dim)), name=f"p{rows}")
+        return Parameter(
+            rng.standard_normal((rows, dim)), name=f"p{rows}", row_sparse=row_sparse
+        )
 
     def test_extract_sparse_for_large_tables(self):
-        parameter = self._param(SPARSE_MIN_ROWS * 4)
+        parameter = self._param(128)
         grad = np.zeros_like(parameter.data)
         grad[3] = 1.0
         grad[17] = 2.0
@@ -354,20 +355,23 @@ class TestSparsePayloads:
         assert rows.tolist() == [3, 17]
         assert np.array_equal(values[0], grad[3])
 
-    def test_extract_dense_for_small_or_saturated(self):
-        small = self._param(4)
-        small.grad = np.ones_like(small.data)
-        saturated = self._param(SPARSE_MIN_ROWS * 2)
+    def test_extract_picks_form_from_parameter_not_shape(self):
+        # A 2-D non-embedding weight stays dense however large it is; an
+        # embedding table ships rows even when every row is touched.
+        linear = self._param(128, row_sparse=False)
+        linear.grad = np.ones_like(linear.data)
+        saturated = self._param(4)
         saturated.grad = np.ones_like(saturated.data)
         none = self._param(8)
-        payloads = extract_gradients([small, saturated, none])
+        payloads = extract_gradients([linear, saturated, none])
         assert payloads[0][0] == "dense"
-        assert payloads[1][0] == "dense"
+        assert payloads[1][0] == "rows"
+        assert payloads[1][1].tolist() == [0, 1, 2, 3]
         assert payloads[2] is None
 
     def test_merge_matches_dense_average(self):
         rng = np.random.default_rng(1)
-        dense_a = np.zeros((SPARSE_MIN_ROWS * 4, 3))
+        dense_a = np.zeros((128, 3))
         dense_b = np.zeros_like(dense_a)
         dense_a[[2, 5, 9]] = rng.standard_normal((3, 3))
         dense_b[[5, 9, 40]] = rng.standard_normal((3, 3))
@@ -379,27 +383,6 @@ class TestSparsePayloads:
         expected = (dense_a + dense_b) / 2.0
         assert rows.tolist() == [2, 5, 9, 40]
         assert np.allclose(values, expected[rows])
-
-    def test_merge_mixed_dense_and_sparse(self):
-        dense = ("dense", np.ones((SPARSE_MIN_ROWS, 2)))
-        sparse = ("rows", np.array([1]), np.full((1, 2), 3.0))
-        [merged] = merge_gradients([[dense], [sparse]], 1)
-        kind, total = merged
-        assert kind == "dense"
-        assert total[0, 0] == pytest.approx(0.5)
-        assert total[1, 0] == pytest.approx(2.0)
-
-    def test_merge_mixed_sparse_before_dense(self):
-        # Workers can disagree on sparse-eligibility for the same
-        # parameter; the sparse payload may arrive from an earlier
-        # worker than the dense one.
-        sparse = ("rows", np.array([1]), np.full((1, 2), 3.0))
-        dense = ("dense", np.ones((SPARSE_MIN_ROWS, 2)))
-        [merged] = merge_gradients([[sparse], [dense]], 1)
-        kind, total = merged
-        assert kind == "dense"
-        assert total[0, 0] == pytest.approx(0.5)
-        assert total[1, 0] == pytest.approx(2.0)
 
     def test_merge_is_order_deterministic(self):
         sparse_a = ("rows", np.array([7, 1]), np.ones((2, 2)))

@@ -19,6 +19,7 @@ from repro.nn import (
     sigmoid_margin_loss,
 )
 from repro.nn.gradcheck import check_gradients
+from repro.nn.optim import extract_gradients
 
 RNG = np.random.default_rng(99)
 
@@ -81,6 +82,75 @@ class TestOptimizers:
         (w * 10.0).sum().backward()
         opt.step()
         assert abs(abs(w.data[0]) - 0.01) < 1e-6
+
+
+class TestRowSparseRule:
+    """Lazy Adam on embedding tables: only rows with a gradient step."""
+
+    ROWS = np.array([1, 4, 5])
+
+    def _table(self, seed=0):
+        rng = np.random.default_rng(seed)
+        table = Parameter(rng.normal(size=(8, 3)), row_sparse=True)
+        grad = np.zeros_like(table.data)
+        grad[self.ROWS] = rng.normal(size=(len(self.ROWS), 3))
+        return table, grad
+
+    def test_untouched_rows_and_moments_unchanged(self):
+        table, grad = self._table()
+        opt = Adam([table], lr=0.1, weight_decay=0.5)
+        for step in range(3):
+            # Moments of the touched rows are nonzero after the first step.
+            before = [a.copy() for a in (table.data, opt._m[0], opt._v[0])]
+            table.grad = grad * (step + 1)
+            opt.step()
+            after = (table.data, opt._m[0], opt._v[0])
+            untouched = np.setdiff1d(np.arange(8), self.ROWS)
+            for old, new in zip(before, after):
+                assert np.array_equal(old[untouched], new[untouched])
+                assert not np.array_equal(old[self.ROWS], new[self.ROWS])
+
+    def test_touched_rows_get_exactly_the_l2_gradient(self):
+        # weight_decay=2λ on the data gradient == no decay on the data
+        # gradient plus 2λθ on exactly the touched rows.
+        decayed, grad = self._table()
+        reference, _ = self._table()
+        coefficient = 2.0 * 1e-2
+        opt_decayed = Adam([decayed], lr=0.1, weight_decay=coefficient)
+        opt_reference = Adam([reference], lr=0.1)
+        for _ in range(3):
+            decayed.grad = grad.copy()
+            explicit = np.zeros_like(grad)
+            explicit[self.ROWS] = grad[self.ROWS] + coefficient * reference.data[self.ROWS]
+            reference.grad = explicit
+            opt_decayed.step()
+            opt_reference.step()
+            assert np.array_equal(decayed.data, reference.data)
+            assert np.array_equal(opt_decayed._m[0], opt_reference._m[0])
+            assert np.array_equal(opt_decayed._v[0], opt_reference._v[0])
+
+    def test_dense_parameter_steps_every_entry(self):
+        # A 2-D weight that is not an embedding table keeps dense Adam:
+        # zero-gradient rows still decay and their moments still move.
+        weight = Parameter(np.ones((4, 2)))
+        opt = Adam([weight], lr=0.1, weight_decay=0.5)
+        grad = np.zeros((4, 2))
+        grad[0] = 1.0
+        weight.grad = grad
+        opt.step()
+        assert np.all(weight.data < 1.0)
+        assert np.all(opt._v[0] > 0.0)
+
+    def test_step_is_step_rows_of_extracted_gradients(self):
+        left, grad = self._table()
+        right, _ = self._table()
+        opt_left = Adam([left], lr=0.1, weight_decay=0.3)
+        opt_right = Adam([right], lr=0.1, weight_decay=0.3)
+        left.grad = grad.copy()
+        right.grad = grad.copy()
+        opt_left.step()
+        opt_right.step_rows(extract_gradients([right]))
+        assert np.array_equal(left.data, right.data)
 
 
 class TestSchedulers:

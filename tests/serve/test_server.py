@@ -115,6 +115,47 @@ class TestService:
         assert len(service.cache) == 0
         assert service.recommend(0, k=3)["source"] == "primary"
 
+    def test_reload_during_batch_wait_answers_from_one_index(
+        self, index, dataset, split
+    ):
+        # A reload that lands while the read waits in the micro-batcher
+        # used to label the new index's scores with the old version.
+        from repro.core import KGAG, KGAGConfig
+        from repro.serve import RankingEngine, build_index
+
+        other_model = KGAG(
+            dataset.kg,
+            dataset.num_users,
+            dataset.num_items,
+            dataset.user_item.pairs,
+            dataset.groups,
+            KGAGConfig(embedding_dim=8, num_layers=2, num_neighbors=3, seed=12),
+        )
+        other = build_index(
+            other_model,
+            train_interactions=split.train,
+            user_interactions=dataset.user_item,
+        )
+        group = next(
+            g
+            for g in range(index.num_groups)
+            if [r.item for r in RankingEngine(index).top_k(g, k=5)]
+            != [r.item for r in RankingEngine(other).top_k(g, k=5)]
+        )
+        svc = RecommendationService(
+            index, cache_capacity=0, deadline_ms=None, batch_wait_ms=200.0
+        )
+        reload = threading.Timer(0.05, svc.reload_index, args=(other,))
+        try:
+            reload.start()
+            payload = svc.recommend(group, k=5)
+        finally:
+            reload.join()
+            svc.close()
+        assert payload["index_version"] == other.version
+        expected = [r.item for r in RankingEngine(other).top_k(group, k=5)]
+        assert [item["item"] for item in payload["items"]] == expected
+
     def test_stats_shape(self, service):
         service.recommend(0, k=2)
         stats = service.stats()

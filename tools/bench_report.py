@@ -50,15 +50,14 @@ PR-9 worker-scaling curve
 ``--record parallel`` (default output ``BENCH_PR9.json``) times one
 training epoch at each worker count in ``WORKLOAD["parallel"]
 ["workers"]`` on a sparse, embedding-heavy workload (large entity
-table, tiny batches) where the per-step dense Adam update and
-full-table L2 dominate.  Every point uses ``compile=True`` so the
+table, tiny batches).  Every point uses ``compile=True`` so the
 curve isolates what ``workers=N`` buys on top of the compiled
-executor: N-batch rounds amortise the optimiser step, the sparse
-row-payload path replaces dense moment updates, and workers skip the
-full-table L2 term (the parent folds it onto touched rows only).  The
-report stamps ``cpu_count`` — the committed curve comes from a
-single-core container, so the speedup is algorithmic (fewer, sparser
-updates), not core-parallelism.  The acceptance bar
+executor.  Both paths apply the same row-sparse Adam with L2 on the
+touched rows, so what is left to the pool is that N-batch rounds
+amortise the optimiser step.  The report stamps ``cpu_count`` — the
+committed curve comes from a single-core container, recorded while
+the sequential path still ran dense Adam and a full-table L2 term, so
+its speedup is algorithmic, not core-parallelism (docs/parallelism.md).  The acceptance bar
 (``tests/test_bench_smoke.py``) fails if ``speedups
 .train_epoch_workers4`` drops below 1.8x.
 """
@@ -91,8 +90,7 @@ WORKLOAD = {
     "evaluate_k": 5,
     "compiled_pair_reps": 9,
     # The PR-9 worker-scaling workload: a large entity table with tiny
-    # batches, where dense optimiser/regulariser work per step dwarfs
-    # the forward/backward and the sparse parallel path pays off.
+    # batches, so a batch touches a small share of the embedding rows.
     "parallel": {
         "dataset": {
             "num_users": 100,
@@ -299,9 +297,7 @@ def measure_parallel() -> dict:
     ``WORKLOAD["parallel"]`` world, freshly built per point so no state
     leaks between worker counts.  ``cpu_count`` is stamped because the
     curve's meaning depends on it: on a single core the speedup is
-    purely algorithmic (rounds amortise the optimiser step, sparse row
-    payloads replace dense Adam moment sweeps, workers skip the
-    full-table L2 term).
+    purely algorithmic (rounds amortise the optimiser step).
     """
     spec = WORKLOAD["parallel"]
     measured: dict = {
