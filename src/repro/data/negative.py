@@ -26,7 +26,8 @@ class NegativeSampler:
     rng:
         Seeded generator.
     max_resamples:
-        Rejection-sampling budget per draw; rows that have consumed the
+        Rejection-sampling budget per draw.  Draws still colliding after
+        it come from the row's complement; rows that have consumed the
         whole item vocabulary fall back to uniform sampling.
     """
 
@@ -69,6 +70,14 @@ class NegativeSampler:
             negatives[collisions] = self.rng.integers(
                 0, self.num_items, size=int(collisions.sum())
             )
+        else:
+            # Budget spent: draw what still collides from the row's
+            # complement, unless the row has no item left to avoid.
+            for position, (row, item) in enumerate(zip(rows, negatives)):
+                positives = self._positives.get(int(row), ())
+                if item in positives and len(positives) < self.num_items:
+                    free = np.setdiff1d(np.arange(self.num_items), list(positives))
+                    negatives[position] = free[self.rng.integers(len(free))]
         return negatives
 
     def sample_triplets(self, pairs) -> np.ndarray:

@@ -23,6 +23,7 @@ Two additions over the offline path:
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 
@@ -144,6 +145,23 @@ def propagate(index, seed_entities: np.ndarray, query_vectors: np.ndarray) -> np
     return entity_vectors[0].reshape(batch, dim)
 
 
+def _activate_inplace(x: np.ndarray, name: str) -> np.ndarray:
+    # _activate writing into ``x`` where numpy allows (tanh, relu); the
+    # catalog path owns its fresh (M, n, Q, d) buffers, so no copy.
+    if name == "tanh":
+        return np.tanh(x, out=x)
+    if name == "relu":
+        return np.maximum(x, 0.0, out=x)
+    return _activate(x, name)
+
+
+def _linear(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    # ``x @ weight.T`` over the last axis as ONE GEMM; a stacked matmul
+    # would loop over the leading axes in many small products.
+    flat = x.reshape(-1, x.shape[-1]) @ weight.T
+    return flat.reshape(*x.shape[:-1], weight.shape[0])
+
+
 def _catalog_propagate(index, seed_rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Shared-receptive-field propagation for full-catalog scoring.
 
@@ -158,16 +176,27 @@ def _catalog_propagate(index, seed_rows: np.ndarray, queries: np.ndarray) -> np.
     product's index tensors: the entity gathers are per seed tuple, the
     relation-attention logits come from one ``(R, d) @ (d, Q)`` GEMM
     against the whole relation table (each edge gathers its scalar
-    column), and the neighborhood mixing is a batched matmul.  Only the
-    float summation order inside dot products differs, so results agree
-    with :func:`propagate` to round-off, not bit-for-bit.
+    column), and the neighborhood mixing is a batched matmul.
+
+    The first aggregation layer sees query-independent ``(M, n, d)``
+    entity vectors on both sides; only the attention weights carry the
+    Q axis.  Writing the layer as ``W_self e + W_nb (Σ_k w_k e_k) + b``
+    (``W_self = W_nb = W`` for GCN, the two column halves of ``W`` for
+    GraphSage), distributivity gives ``Σ_k w_k (W_nb e_k)``: when
+    ``Q > K`` the ``(d, d)`` GEMM runs over the ``M·n·K`` neighbor rows
+    before the mixing instead of the ``M·n·Q`` mixed rows after it.
+    When ``Q <= K`` (the item side of a one-group catalog block) mixing
+    first is the smaller GEMM and is kept.  Deeper layers are already
+    ``(M, n, Q, d)`` and mix first.  Only the float summation order
+    differs from :func:`propagate`, so results agree to round-off, not
+    bit-for-bit.
     """
     m_rows, _size = seed_rows.shape
     q_rows, dim = queries.shape
     k = index.num_neighbors
     depth = index.num_layers
     layers = index.aggregator_layers
-    aggregator = index.aggregator
+    gcn = index.aggregator == "gcn"
 
     entities = [seed_rows]
     relations: list[np.ndarray] = []
@@ -205,30 +234,36 @@ def _catalog_propagate(index, seed_rows: np.ndarray, queries: np.ndarray) -> np.
 
     for iteration in range(depth):
         weight, bias, activation = layers[iteration]
+        w_self, w_nb = (weight, weight) if gcn else (weight[:, :dim], weight[:, dim:])
         next_hidden: list[np.ndarray] = []
         for hop in range(depth - iteration):
             n = entities[hop].shape[1]
-            weights = hop_weights[hop]
-            neighbors = hidden[hop + 1]
-            if neighbors.ndim == 3:  # query-independent: batched GEMM
-                neighborhood = np.matmul(
-                    weights, neighbors.reshape(m_rows, n, k, dim)
-                )  # (M, n, Q, d)
-            else:  # already query-dependent: contract K per (m, n, q)
-                nb = neighbors.reshape(m_rows, n, k, q_rows, dim)
-                neighborhood = np.einsum("mnqk,mnkqd->mnqd", weights, nb)
+            weights = hop_weights[hop]  # (M, n, Q, K)
             self_vectors = hidden[hop]
-            if self_vectors.ndim == 3:
-                self_vectors = np.broadcast_to(
-                    self_vectors[:, :, None, :], neighborhood.shape
-                )
-            if aggregator == "gcn":
-                updated = (self_vectors + neighborhood).reshape(-1, dim) @ weight.T + bias
-            else:  # graphsage
-                stacked = np.concatenate([self_vectors, neighborhood], axis=-1)
-                updated = stacked.reshape(-1, 2 * dim) @ weight.T + bias
-            updated = _activate(updated, activation)
-            next_hidden.append(updated.reshape(m_rows, n, q_rows, dim))
+            neighbors = hidden[hop + 1]
+            query_free = neighbors.ndim == 3  # layer 0: no Q axis yet
+            if query_free:
+                neighbors = neighbors.reshape(m_rows, n, k, dim)
+                self_vectors = self_vectors[:, :, None, :]  # broadcasts over Q
+            if query_free and q_rows > k:  # project the K rows, then mix
+                updated = np.matmul(weights, _linear(neighbors, w_nb))
+                base = _linear(self_vectors, w_self) + bias
+            else:
+                if query_free:  # mix into Q <= K rows, then project
+                    mixed = np.matmul(weights, neighbors)
+                else:  # already query-dependent: contract K per (m, n, q)
+                    nb = neighbors.reshape(m_rows, n, k, q_rows, dim)
+                    mixed = np.matmul(
+                        weights[..., None, :], nb.transpose(0, 1, 3, 2, 4)
+                    ).reshape(m_rows, n, q_rows, dim)
+                if gcn:  # W(e + e_N) + b: one GEMM over the summed rows
+                    mixed += self_vectors
+                    base = bias
+                else:  # graphsage
+                    base = _linear(self_vectors, w_self) + bias
+                updated = _linear(mixed, w_nb)
+            updated += base
+            next_hidden.append(_activate_inplace(updated, activation))
         hidden = next_hidden
     return hidden[0]  # (M, S, Q, d)
 
@@ -261,6 +296,11 @@ def engine_supports(model) -> bool:
     return True
 
 
+# Source of LiveModelIndex versions: each view gets its own, so score
+# vectors cached under one view are never served for later weights.
+_LIVE_VERSIONS = itertools.count()
+
+
 class LiveModelIndex:
     """Zero-copy engine view over a live (possibly training) model.
 
@@ -271,7 +311,9 @@ class LiveModelIndex:
     costs microseconds, which is what makes per-epoch tape-free
     evaluation practical.  The view is only coherent while the
     parameters are not being updated — score, then let the optimizer
-    step, then build a fresh view.
+    step, then build a fresh view.  Every view gets a fresh ``version``,
+    so a score cache shared across views never serves vectors scored
+    under earlier weights.
     """
 
     def __init__(self, model, train_interactions=None):
@@ -310,7 +352,7 @@ class LiveModelIndex:
             (agg.linear.weight.data, agg.linear.bias.data, agg.activation)
             for agg in propagation._aggregators
         ]
-        self.version = f"live-{id(model):x}"
+        self.version = f"live-{next(_LIVE_VERSIONS)}"
         self.entity_final = None
         if self.num_layers > 0 and self.uniform_weights:
             # Query-independent propagation: run the GCN once over every
@@ -599,8 +641,14 @@ class RankingEngine:
         group's member receptive field and each item's receptive field
         are gathered once and reused across the whole cross product (see
         :func:`_catalog_propagate`), instead of once per ``(group,
-        item)`` pair as :meth:`score_pairs` does.  Groups are processed
-        in blocks of ``chunk_size // num_items`` pairs to bound memory.
+        item)`` pair as :meth:`score_pairs` does.
+
+        Groups are processed in blocks of ``max(1, chunk_size //
+        num_items)``.  That bounds memory only while ``num_items <=
+        chunk_size``: past it every block is one group, and the member
+        side's working set is about ``S * K**(H-1) * num_items * d``
+        floats (the layer-0 outputs of the last hop), whatever
+        ``chunk_size`` says.
         """
         return self._score_matrix(self.index, group_ids)
 

@@ -83,6 +83,13 @@ class TestNegativeSampler:
         assert (labelled[:2, 2] == 1).all()
         assert (labelled[2:, 2] == 0).all()
 
+    def test_spent_budget_draws_from_complement(self):
+        # A row with all but one item positive used to return a positive
+        # once the rejection budget ran out (found by hypothesis).
+        table = InteractionTable(1, 25, [(0, item) for item in range(25) if item != 7])
+        sampler = NegativeSampler(table, rng=np.random.default_rng(3), max_resamples=0)
+        assert sampler.sample_for_rows([0] * 50).tolist() == [7] * 50
+
     def test_row_with_all_items_positive_falls_back(self):
         table = InteractionTable(1, 3, [(0, 0), (0, 1), (0, 2)])
         sampler = NegativeSampler(table, rng=np.random.default_rng(0), max_resamples=5)
