@@ -48,7 +48,7 @@ from repro.data import (  # noqa: E402
     movielens_like,
     split_interactions,
 )
-from repro.obs.metrics import LATENCY_MS_BUCKETS, Histogram  # noqa: E402
+from repro.obs.metrics import Histogram  # noqa: E402
 from repro.rng import ensure_rng  # noqa: E402
 from repro.serve import AdmissionConfig, ServingPool, build_index  # noqa: E402
 
@@ -191,15 +191,11 @@ def measure_pool(
                 clients,
                 warmup_seconds,
                 num_groups,
-                Histogram("warmup", buckets=LATENCY_MS_BUCKETS, sample_window=0),
+                Histogram("warmup"),
             )
         runs = []
         for _ in range(reps):
-            histogram = Histogram(
-                "client/latency_ms",
-                buckets=LATENCY_MS_BUCKETS,
-                sample_window=1 << 17,
-            )
+            histogram = Histogram("client/latency_ms")
             outcome = run_load(pool.port, clients, seconds, num_groups, histogram)
             outcome["p50_ms"] = histogram.percentile(0.50)
             outcome["p95_ms"] = histogram.percentile(0.95)
@@ -222,7 +218,7 @@ def measure_pool(
             "p99": round(median["p99_ms"], 3),
         },
         # Cross-check: fleet-side percentiles from the merged per-worker
-        # repro.obs histogram buckets (upper-edge estimates).
+        # repro.obs histograms (the client's estimator, server-side).
         "server_latency_ms": fleet["latency_ms"],
         "server_requests": fleet["requests"],
     }

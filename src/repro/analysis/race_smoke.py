@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.parallel import ParallelStats
-from ..obs.metrics import LATENCY_MS_BUCKETS, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from ..serve.cache import ScoreCache
 from ..serve.engine import MicroBatcher
@@ -70,9 +70,7 @@ def _build_stack():
     """One fresh serving/observability stack for a stress run."""
     registry = MetricsRegistry()
     counter = registry.counter("smoke/requests", help="stress requests")
-    histogram = registry.histogram(
-        "smoke/latency_ms", buckets=LATENCY_MS_BUCKETS, help="stress latency"
-    )
+    histogram = registry.histogram("smoke/latency_ms", help="stress latency")
     tracer = Tracer()
     cache = ScoreCache(capacity=64)
     batcher = MicroBatcher(_StubEngine(), max_wait_ms=0.2, max_batch=8)

@@ -209,9 +209,7 @@ class KGAGTrainer:
             "train/step_seconds", help="wall time per optimizer step"
         )
         self._m_epoch_seconds = self.metrics.histogram(
-            "train/epoch_seconds",
-            buckets=(0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 300.0),
-            help="wall time per training epoch",
+            "train/epoch_seconds", help="wall time per training epoch"
         )
         self._m_compile_traces = self.metrics.counter(
             "compile/traces", help="train steps traced into compiled programs"

@@ -7,7 +7,8 @@ answers "where does a training step or a recommend request spend its
 time".  This package is the unified layer, stdlib-only:
 
 * :mod:`repro.obs.metrics` — thread-safe :class:`MetricsRegistry` of
-  counters / gauges / fixed-bucket histograms, with a plain-text
+  counters / gauges / log-bucketed histograms (quantiles within 1%
+  relative, mergeable across processes), with a plain-text
   snapshot (the ``/metrics`` endpoint body) and a :class:`JsonlRunLog`
   exporter that merges metric snapshots, training epochs and
   diagnostics into one run log;
@@ -38,8 +39,6 @@ from .metrics import (
     MetricsRegistry,
     NullRegistry,
     NULL_REGISTRY,
-    DEFAULT_BUCKETS,
-    LATENCY_MS_BUCKETS,
     merge_snapshots,
     quantile_from_snapshot,
 )
@@ -54,8 +53,6 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
-    "DEFAULT_BUCKETS",
-    "LATENCY_MS_BUCKETS",
     "OpProfile",
     "TapeProfiler",
     "NullTracer",

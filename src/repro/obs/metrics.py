@@ -11,9 +11,11 @@ render from this single source.  Three instrument kinds:
   :meth:`Gauge.set` or pulled from a callback (``fn=``) at snapshot time
   — the callback form mirrors component-owned state (cache size,
   breaker trips) into the registry without duplicating the counter;
-* :class:`Histogram` — fixed upper-edge buckets (``value <= edge``, a
-  la Prometheus ``le``) plus a bounded window of raw samples so exact
-  percentiles stay available for dashboards.
+* :class:`Histogram` — a sparse log-bucketed sketch (DDSketch, Masson
+  et al., arXiv:1908.10693): every quantile it reports is within
+  :data:`ALPHA` relative of the exact nearest-rank sample, and two
+  snapshots merge exactly by adding their bucket counts, so one
+  estimator serves both the per-process and the fleet view.
 
 Everything is stdlib-only and safe to call from server threads: each
 instrument carries its own lock.  The zero-cost-when-disabled story is
@@ -33,11 +35,11 @@ Exporters
 
 from __future__ import annotations
 
-import bisect
 import json
+import sys
 import threading
 import time
-from collections import deque
+from math import ceil, isfinite, isnan, log
 from typing import Callable, IO, Sequence
 
 __all__ = [
@@ -48,22 +50,17 @@ __all__ = [
     "NullRegistry",
     "NULL_REGISTRY",
     "JsonlRunLog",
-    "DEFAULT_BUCKETS",
-    "LATENCY_MS_BUCKETS",
+    "ALPHA",
     "merge_snapshots",
     "quantile_from_snapshot",
 ]
 
-# Prometheus' classic seconds-oriented ladder; histogram callers with
-# millisecond units should pass LATENCY_MS_BUCKETS instead.
-DEFAULT_BUCKETS: tuple[float, ...] = (
-    0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
-
-LATENCY_MS_BUCKETS: tuple[float, ...] = (
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
-    100.0, 250.0, 500.0, 1000.0, 2500.0,
-)
+# Relative accuracy of every histogram quantile.  Bucket ``i`` holds the
+# values in (GAMMA**(i-1), GAMMA**i]; its representative 2*GAMMA**i/(GAMMA+1)
+# is within ALPHA of every value in it.
+ALPHA = 0.01
+_GAMMA = (1.0 + ALPHA) / (1.0 - ALPHA)
+_LOG_GAMMA = log(_GAMMA)
 
 
 class Counter:
@@ -113,16 +110,10 @@ class Gauge:
                 )
             self._value = float(value)
 
-    def set_function(self, fn: Callable[[], float]) -> None:
+    def bind_function(self, fn: Callable[[], float]) -> None:
         """Switch to pull mode: ``fn()`` is evaluated at read time."""
         with self._lock:
             self._fn = fn
-
-    def bind_function(self, fn: Callable[[], float]) -> None:
-        """Idempotent :meth:`set_function` — a no-op if ``fn`` is bound."""
-        with self._lock:
-            if self._fn is not fn:
-                self._fn = fn
 
     @property
     def value(self) -> float:
@@ -139,54 +130,38 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram with a bounded raw-sample window.
+    """Sparse log-bucketed histogram with relative-accuracy quantiles.
 
-    Parameters
-    ----------
-    buckets:
-        Strictly increasing upper edges; a sample ``v`` lands in the
-        first bucket with ``v <= edge`` (Prometheus ``le`` semantics),
-        or the implicit ``+Inf`` overflow bucket.
-    sample_window:
-        How many of the most recent raw samples to retain for
-        :meth:`percentile`; 0 disables the window (percentiles then
-        return 0.0).
+    A value ``v > 0`` lands in bucket ``ceil(log(v) / log(GAMMA))``;
+    values ``v <= 0`` share one zero bucket; NaN and ±inf raise
+    ValueError.  No edges to pick and no sample window: :meth:`percentile` and :func:`quantile_from_snapshot`
+    read the same counts with the same nearest-rank rule, and stay within
+    :data:`ALPHA` relative of the exact sample for positive normal floats.
     """
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-        help: str = "",
-        sample_window: int = 2048,
-    ):
-        edges = tuple(float(edge) for edge in buckets)
-        if not edges:
-            raise ValueError("at least one bucket edge is required")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError("bucket edges must be strictly increasing")
+    def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
-        self.edges = edges
         self._lock = threading.Lock()
-        self._bucket_counts = [0] * (len(edges) + 1)  # guarded-by: _lock
+        self._zero = 0  # guarded-by: _lock
+        self._buckets: dict[int, int] = {}  # guarded-by: _lock
         self._count = 0  # guarded-by: _lock
         self._sum = 0.0  # guarded-by: _lock
-        self._window: deque[float] | None = (  # guarded-by: _lock
-            deque(maxlen=int(sample_window)) if sample_window > 0 else None
-        )
 
     def observe(self, value: float) -> None:
         value = float(value)
-        position = bisect.bisect_left(self.edges, value)
+        if not isfinite(value):
+            raise ValueError(f"histogram {self.name!r} got non-finite {value!r}")
+        key = ceil(log(value) / _LOG_GAMMA) if value > 0.0 else 0
         with self._lock:
-            self._bucket_counts[position] += 1
+            if value > 0.0:
+                self._buckets[key] = self._buckets.get(key, 0) + 1
+            else:
+                self._zero += 1
             self._count += 1
             self._sum += value
-            if self._window is not None:
-                self._window.append(value)
 
     @property
     def count(self) -> int:
@@ -203,52 +178,58 @@ class Histogram:
         with self._lock:
             return self._sum / self._count if self._count else 0.0
 
-    def bucket_counts(self) -> list[int]:
-        """Per-bucket (non-cumulative) counts; last entry is ``+Inf``."""
-        with self._lock:
-            return list(self._bucket_counts)
-
-    def cumulative_buckets(self) -> list[tuple[float, int]]:
-        """``(upper_edge, cumulative_count)`` pairs, ending with +Inf."""
-        with self._lock:
-            counts = list(self._bucket_counts)
-        running = 0
-        pairs: list[tuple[float, int]] = []
-        for edge, count in zip(self.edges + (float("inf"),), counts):
-            running += count
-            pairs.append((edge, running))
-        return pairs
-
     def percentile(self, q: float) -> float:
-        """Exact percentile over the raw-sample window.
-
-        Uses the nearest-rank formula ``min(n - 1, round(q * (n - 1)))``
-        — the same one the serving layer's ``/stats`` payload has always
-        used, so migrating it onto the registry stays byte-compatible.
-        """
+        """Nearest-rank quantile ``q`` in [0, 1]; 0.0 when empty."""
         with self._lock:
-            samples = sorted(self._window) if self._window else []
-        if not samples:
-            return 0.0
-        rank = min(len(samples) - 1, int(round(q * (len(samples) - 1))))
-        return samples[rank]
+            zero, buckets = self._zero, dict(self._buckets)
+        return _quantile(zero, buckets, q)
 
     def snapshot(self) -> dict:
         with self._lock:
-            counts = list(self._bucket_counts)
+            zero, buckets = self._zero, dict(self._buckets)
             count, total = self._count, self._sum
-        running = 0
-        buckets = {}
-        for edge, bucket_count in zip(self.edges + (float("inf"),), counts):
-            running += bucket_count
-            buckets["+Inf" if edge == float("inf") else repr(edge)] = running
         return {
             "name": self.name,
             "kind": self.kind,
             "count": count,
             "sum": total,
-            "buckets": buckets,
+            "zero": zero,
+            "buckets": {str(key): buckets[key] for key in sorted(buckets)},
         }
+
+
+def _upper_edge(key: int) -> float:
+    """``GAMMA**key``, the inclusive upper edge of bucket ``key``.
+
+    Written as ``GAMMA**(key-1) * GAMMA`` because ``GAMMA**key`` raises
+    OverflowError for the bucket of the largest floats; the product
+    rounds to inf instead and is clamped to the largest float.
+    """
+    return min(_GAMMA ** (key - 1) * _GAMMA, sys.float_info.max)
+
+
+def _quantile(zero: int, buckets: dict[int, int], q: float) -> float:
+    """Representative value of the bucket holding the nearest-rank sample.
+
+    The rank is ``min(n - 1, round(q * (n - 1)))``, the formula the
+    serving ``/stats`` payload has always used.  The zero bucket reports
+    0.0; bucket ``i`` reports ``2 * GAMMA**i / (GAMMA + 1)``, which equals
+    ``GAMMA**i * (1 - ALPHA)``.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q!r}")
+    total = zero + sum(buckets.values())
+    if total == 0:
+        return 0.0
+    rank = min(total - 1, int(round(q * (total - 1))))
+    seen = zero
+    if rank < seen:
+        return 0.0
+    for key in sorted(buckets):
+        seen += buckets[key]
+        if rank < seen:
+            break
+    return _upper_edge(key) * (1.0 - ALPHA)
 
 
 class _NullInstrument:
@@ -260,15 +241,11 @@ class _NullInstrument:
     count = 0
     sum = 0.0
     mean = 0.0
-    edges: tuple[float, ...] = ()
 
     def inc(self, amount: float = 1.0) -> None:
         pass
 
     def set(self, value: float) -> None:
-        pass
-
-    def set_function(self, fn) -> None:
         pass
 
     def bind_function(self, fn) -> None:
@@ -279,12 +256,6 @@ class _NullInstrument:
 
     def percentile(self, q: float) -> float:
         return 0.0
-
-    def bucket_counts(self) -> list[int]:
-        return []
-
-    def cumulative_buckets(self) -> list[tuple[float, int]]:
-        return []
 
     def snapshot(self) -> dict:
         return {}
@@ -332,16 +303,8 @@ class MetricsRegistry:
             gauge.bind_function(fn)
         return gauge
 
-    def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-        help: str = "",
-        sample_window: int = 2048,
-    ) -> Histogram:
-        return self._get_or_create(
-            name, Histogram, lambda: Histogram(name, buckets, help, sample_window)
-        )
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        return self._get_or_create(name, Histogram, lambda: Histogram(name, help))
 
     def get(self, name: str):
         """The instrument registered under ``name``, or None."""
@@ -363,8 +326,9 @@ class MetricsRegistry:
         """Plain-text exposition (Prometheus style) — the ``/metrics`` body.
 
         Metric names are sanitized to ``[a-zA-Z0-9_:]`` (``/`` and ``-``
-        become ``_``); histograms expand to ``_bucket{le=...}`` /
-        ``_sum`` / ``_count`` series.
+        become ``_``); histograms expand to cumulative ``_bucket{le=...}``
+        lines for their non-empty buckets, then ``+Inf``, ``_sum`` and
+        ``_count``.
         """
         with self._lock:
             instruments = list(self._instruments.values())
@@ -375,11 +339,17 @@ class MetricsRegistry:
                 lines.append(f"# HELP {name} {instrument.help}")
             lines.append(f"# TYPE {name} {instrument.kind}")
             if isinstance(instrument, Histogram):
-                for edge, cumulative in instrument.cumulative_buckets():
-                    label = "+Inf" if edge == float("inf") else _format_number(edge)
-                    lines.append(f'{name}_bucket{{le="{label}"}} {cumulative}')
-                lines.append(f"{name}_sum {_format_number(instrument.sum)}")
-                lines.append(f"{name}_count {instrument.count}")
+                record = instrument.snapshot()
+                cumulative = record["zero"]
+                if cumulative:
+                    lines.append(f'{name}_bucket{{le="0"}} {cumulative}')
+                for key, count in record["buckets"].items():
+                    cumulative += count
+                    edge = _format_number(_upper_edge(int(key)))
+                    lines.append(f'{name}_bucket{{le="{edge}"}} {cumulative}')
+                lines.append(f'{name}_bucket{{le="+Inf"}} {record["count"]}')
+                lines.append(f"{name}_sum {_format_number(record['sum'])}")
+                lines.append(f"{name}_count {record['count']}")
             else:
                 lines.append(f"{name} {_format_number(instrument.value)}")
         return "\n".join(lines) + "\n"
@@ -392,6 +362,8 @@ def _text_name(name: str) -> str:
 
 
 def _format_number(value: float) -> str:
+    if not isfinite(value):
+        return "NaN" if isnan(value) else ("+Inf" if value > 0 else "-Inf")
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)
@@ -412,9 +384,7 @@ class NullRegistry:
     def gauge(self, name: str, help: str = "", fn=None) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def histogram(
-        self, name: str, buckets=DEFAULT_BUCKETS, help: str = "", sample_window: int = 2048
-    ) -> _NullInstrument:
+    def histogram(self, name: str, help: str = "") -> _NullInstrument:
         return _NULL_INSTRUMENT
 
     def get(self, name: str) -> None:
@@ -498,11 +468,10 @@ def merge_snapshots(snapshots: Sequence[dict]) -> dict[str, dict]:
     """Merge per-process registry snapshots into a single fleet view.
 
     Counters and gauges add their values; histograms add ``count``,
-    ``sum`` and their per-bucket counts — the snapshot stores
-    *cumulative* bucket counts, which stay cumulative under element-wise
-    addition, so the merged record still feeds
-    :func:`quantile_from_snapshot` directly.  Records of the same name
-    must agree on ``kind``.
+    ``sum``, ``zero`` and their sparse per-bucket counts key by key, so
+    the merge equals the snapshot of one histogram fed every sample and
+    still feeds :func:`quantile_from_snapshot` directly.  Records of the
+    same name must agree on ``kind``.
 
     The obvious caveat applies to non-additive gauges (uptime, cache
     size ratios): summing them is well-defined but rarely meaningful, so
@@ -528,37 +497,23 @@ def merge_snapshots(snapshots: Sequence[dict]) -> dict[str, dict]:
             if record.get("kind") == "histogram":
                 current["count"] += record.get("count", 0)
                 current["sum"] += record.get("sum", 0.0)
+                current["zero"] = current.get("zero", 0) + record.get("zero", 0)
                 buckets = current["buckets"]
-                for edge, cumulative in record.get("buckets", {}).items():
-                    buckets[edge] = buckets.get(edge, 0) + cumulative
+                for key, count in record.get("buckets", {}).items():
+                    buckets[key] = buckets.get(key, 0) + count
             else:
                 current["value"] = current.get("value", 0.0) + record.get("value", 0.0)
     return merged
 
 
 def quantile_from_snapshot(record: dict, q: float) -> float:
-    """Quantile estimate from a histogram snapshot's cumulative buckets.
+    """:meth:`Histogram.percentile` over a (possibly merged) snapshot.
 
-    Returns the smallest bucket upper edge whose cumulative count covers
-    rank ``q * count`` (the Prometheus ``histogram_quantile``
-    upper-bound convention) — exact percentiles need the sample window,
-    which does not survive cross-process aggregation, so fleet-level
-    latency reports use this estimator instead.  Samples that landed in
-    the ``+Inf`` overflow bucket report the largest finite edge.
+    Same buckets, same nearest-rank rule, same representative values, so
+    a fleet quantile from :func:`merge_snapshots` equals the quantile of
+    one histogram fed every worker's samples.  Empty or non-histogram
+    records report 0.0.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q!r}")
-    if not record or record.get("kind") != "histogram" or not record.get("count"):
-        return 0.0
-    target = q * record["count"]
-    edges = sorted(
-        (float("inf") if key == "+Inf" else float(key), cumulative)
-        for key, cumulative in record.get("buckets", {}).items()
-    )
-    last_finite = 0.0
-    for edge, cumulative in edges:
-        if edge != float("inf"):
-            last_finite = edge
-        if cumulative >= target:
-            return last_finite if edge == float("inf") else edge
-    return last_finite
+    histogram = record if record and record.get("kind") == "histogram" else {}
+    buckets = {int(key): count for key, count in histogram.get("buckets", {}).items()}
+    return _quantile(histogram.get("zero", 0), buckets, q)

@@ -508,10 +508,10 @@ class ServingPool:
     def stats(self) -> dict:
         """Fleet view: per-worker payloads plus merged fleet aggregates.
 
-        Counters merge by summation; latency percentiles come from the
-        merged ``repro.obs`` histogram buckets
-        (:func:`~repro.obs.metrics.quantile_from_snapshot`), since raw
-        sample windows do not survive cross-process aggregation.
+        Counters merge by summation; the workers' latency histograms merge
+        by adding bucket counts, so the fleet percentiles
+        (:func:`~repro.obs.metrics.quantile_from_snapshot`) are those of
+        one histogram fed every request, within 1% of the exact sample.
         """
         with self._lock:
             if self._closed:

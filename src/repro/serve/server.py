@@ -37,7 +37,7 @@ from urllib.parse import parse_qs, urlparse
 
 import numpy as np
 
-from ..obs.metrics import LATENCY_MS_BUCKETS, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from .admission import AdmissionConfig, ShedError, build_controllers
 from .cache import ScoreCache
 from .engine import MicroBatcher, RankingEngine
@@ -145,12 +145,8 @@ class RecommendationService:
             "serve/shed_total",
             help="requests shed by admission control (HTTP 429)",
         )
-        # Same 2048-sample window the old hand-rolled deque used, so the
-        # /stats percentiles are byte-identical after the migration.
         self._m_latency = self.metrics.histogram(
             "serve/request_latency_ms",
-            buckets=LATENCY_MS_BUCKETS,
-            sample_window=2048,
             help="end-to-end recommend latency (milliseconds)",
         )
         self._m_index_swaps = self.metrics.counter(
@@ -386,8 +382,9 @@ class RecommendationService:
 
         Rendered from the shared :attr:`metrics` registry — the same
         instruments behind ``/metrics``.  The field names, ``int``
-        casts, 3-decimal rounding and nearest-rank percentile formula
-        are kept byte-identical to the pre-registry payload.
+        casts, 3-decimal rounding and nearest-rank rank are those of the
+        pre-registry payload; the percentiles are the latency
+        histogram's, within 1% of the exact sample.
         """
         index = self.index
         payload = {

@@ -43,10 +43,6 @@ from .grow import GROW_INITS, finetune, warm_start
 
 __all__ = ["OnlineUpdater", "DeltaFeedWatcher"]
 
-_LAG_BUCKETS = (0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0, 1800.0, 7200.0)
-_FINETUNE_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 120.0)
-_SWAP_MS_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 50.0, 250.0)
-
 
 class OnlineUpdater:
     """Ingests delta batches into a live serving stack.
@@ -130,17 +126,14 @@ class OnlineUpdater:
         }
         self._m_lag = self.metrics.histogram(
             "stream/delta_lag_seconds",
-            buckets=_LAG_BUCKETS,
             help="delta arrival to hot-swap completion",
         )
         self._m_finetune = self.metrics.histogram(
             "stream/finetune_seconds",
-            buckets=_FINETUNE_BUCKETS,
             help="warm-start fine-tune wall time per delta",
         )
         self._m_swap = self.metrics.histogram(
             "stream/swap_ms",
-            buckets=_SWAP_MS_BUCKETS,
             help="index hot-swap latency (milliseconds)",
         )
 
