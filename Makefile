@@ -3,7 +3,7 @@
 PYTHON ?= python
 PROFILE ?= default
 
-.PHONY: install dev test lint docs-check ckpt-smoke race-smoke stream-smoke par-smoke load-smoke perfbench-test verify analysis-report obs-report bench bench-calibrated bench-report bench-report-compile bench-report-parallel bench-smoke bench-stream bench-load serve-smoke examples experiments clean
+.PHONY: install dev test lint docs-check race-smoke perfbench-test verify analysis-report obs-report bench bench-calibrated bench-report bench-report-compile bench-report-parallel bench-smoke bench-load examples experiments clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -20,31 +20,15 @@ lint:
 docs-check:
 	PYTHONPATH=src $(PYTHON) tools/check_docs.py
 
-# Train 2 epochs -> kill -> resume -> assert bit-exact vs a straight run.
-ckpt-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.core.ckpt_smoke
-
 # Multi-thread stress over the serve/obs objects under the lockset detector.
 race-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis.race_smoke
-
-# World -> serve -> ingest a cold-item delta -> assert it is recommendable.
-stream-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.stream.smoke
-
-# Train at workers=2 -> assert no leaked shm, determinism, metrics parity.
-par-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.core.par_smoke
-
-# 2-worker mmap pool -> bounded burst -> assert 429 shedding + parity + no leaks.
-load-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.serve.load_smoke
 
 # The benchmark's own tests (outside the tier-1 testpaths, ~3 s).
 perfbench-test:
 	$(PYTHON) -m pytest perfbench/tests -q
 
-verify: test lint docs-check ckpt-smoke race-smoke stream-smoke par-smoke load-smoke perfbench-test
+verify: test lint docs-check race-smoke perfbench-test
 
 analysis-report:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis.report
@@ -70,10 +54,6 @@ bench-report-compile:
 bench-report-parallel:
 	PYTHONPATH=src $(PYTHON) tools/bench_report.py --record parallel
 
-# Delta-to-serve latency breakdown -> BENCH_STREAM.json.
-bench-stream:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_stream.py
-
 # Closed-loop QPS/latency curve over 1/2/4 pool workers -> BENCH_SERVE.json.
 bench-load:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_load.py
@@ -81,9 +61,6 @@ bench-load:
 # Correctness-only pass over every benchmark body (no timing loops).
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/ tests/test_bench_smoke.py --benchmark-disable -q
-
-serve-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.serve.smoke
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -18,7 +18,7 @@ Restoring a :class:`TrainState` into a freshly constructed trainer and
 continuing is **bit-exact**: the resumed run's loss trajectory and final
 parameter arrays equal the uninterrupted run's under
 ``np.array_equal`` (no tolerance) — enforced by the fault-injection
-tests in ``tests/core/test_checkpoint_resume.py`` and ``make ckpt-smoke``.
+tests in ``tests/core/test_checkpoint_resume.py``.
 
 Files are written through
 :func:`~repro.nn.serialization.atomic_write_npz` (tmp file + fsync +

@@ -547,7 +547,8 @@ def initial_worker_rng_states(trainer, workers: int) -> list:
 def leaked_segments() -> list[str]:
     """Names of this module's shared segments still present in /dev/shm.
 
-    The par-smoke drill asserts this is empty after ``close()``; returns
+    ``tests/core/test_parallel.py`` asserts that ``close()`` leaves none
+    of a trainer's segments here; returns
     ``[]`` on platforms without a /dev/shm filesystem.
     """
     shm_dir = "/dev/shm"

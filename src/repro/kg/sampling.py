@@ -62,10 +62,13 @@ class NeighborSampler:
     num_neighbors:
         K — neighbors sampled per entity per hop.
     rng:
-        Seeded generator; the sampled tables are fixed at construction
-        (KGCN resamples per epoch; a fixed table is deterministic and in
-        practice indistinguishable at these K — the ablation bench
-        ``bench_ablation_extras`` quantifies the effect of K itself).
+        Seeded generator; the sampled tables are fixed at construction,
+        so a run is deterministic — but the draw itself matters at this
+        scale: one re-draw of the table moved ML-Rand seed-0 rec@5 from
+        .6771 to .3611, more than the gaps Table II is read for (ROADMAP.md,
+        open item 1).  Compare configurations over several seeds.  The
+        ablation bench ``bench_ablation_extras`` quantifies the effect of
+        K itself.
     self_relation:
         Relation id used for padding self-loops on isolated entities.
         Defaults to a fresh id equal to ``kg.num_relations`` (embedding

@@ -132,7 +132,8 @@ class Gauge:
 class Histogram:
     """Sparse log-bucketed histogram with relative-accuracy quantiles.
 
-    A value ``v > 0`` lands in bucket ``ceil(log(v) / log(GAMMA))``;
+    A value ``v > 0`` lands in bucket ``i ~ ceil(log(v) / log(GAMMA))``,
+    the one whose exposition edge ``le=GAMMA**i`` is the first ``>= v``;
     values ``v <= 0`` share one zero bucket; NaN and ±inf raise
     ValueError.  No edges to pick and no sample window: :meth:`percentile` and :func:`quantile_from_snapshot`
     read the same counts with the same nearest-rank rule, and stay within
@@ -154,7 +155,7 @@ class Histogram:
         value = float(value)
         if not isfinite(value):
             raise ValueError(f"histogram {self.name!r} got non-finite {value!r}")
-        key = ceil(log(value) / _LOG_GAMMA) if value > 0.0 else 0
+        key = _bucket_key(value) if value > 0.0 else 0
         with self._lock:
             if value > 0.0:
                 self._buckets[key] = self._buckets.get(key, 0) + 1
@@ -196,6 +197,22 @@ class Histogram:
             "zero": zero,
             "buckets": {str(key): buckets[key] for key in sorted(buckets)},
         }
+
+
+def _bucket_key(value: float) -> int:
+    """The bucket of ``value > 0``: the ``key`` with ``value`` in
+    ``(_upper_edge(key - 1), _upper_edge(key)]``.
+
+    ``ceil(log(value) / log(GAMMA))`` rounds differently from the ``pow``
+    in :func:`_upper_edge` for about one edge in five, so the guess is
+    corrected by one against the same edges the exposition prints.
+    """
+    key = ceil(log(value) / _LOG_GAMMA)
+    if value > _upper_edge(key):
+        return key + 1
+    if value <= _upper_edge(key - 1):
+        return key - 1
+    return key
 
 
 def _upper_edge(key: int) -> float:

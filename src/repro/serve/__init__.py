@@ -20,14 +20,12 @@ online.
 * :mod:`~repro.serve.admission` — per-endpoint admission control
   (bounded in-flight permits, bounded queue, 429 load shedding);
 * :mod:`~repro.serve.pool` — :class:`ServingPool`: N pre-forked worker
-  processes sharing one memory-mapped index artifact and one port;
-* :mod:`~repro.serve.smoke` — the end-to-end smoke check behind
-  ``make serve-smoke``;
-* :mod:`~repro.serve.load_smoke` — the multi-process + load-shedding
-  drill behind ``make load-smoke``.
+  processes sharing one memory-mapped index artifact and one port.
 
 Build an index with ``python -m repro build-index`` and serve it with
-``python -m repro serve``; see ``docs/serving.md``.
+``python -m repro serve``; see ``docs/serving.md``.  End to end, the
+HTTP surface is checked by ``tests/serve/test_server.py`` and the pool
+under a shedding burst by ``tests/serve/test_pool.py``.
 """
 
 from .admission import AdmissionConfig, AdmissionController, ShedError

@@ -15,9 +15,9 @@ the loop for a *running* deployment:
   atomically hot-swapped serving indexes with delta-lag / fine-tune /
   swap-latency observability.
 
-``python -m repro.stream.smoke`` (``make stream-smoke``) exercises the
-whole loop: a cold item arrives by delta and is served to a brand-new
-group without restarting the server.
+``tests/stream/test_updater.py`` exercises the whole loop: a cold item
+arrives by delta file and is served over HTTP to a brand-new group
+without restarting the server.
 """
 
 from .delta import (

@@ -19,7 +19,7 @@ from repro.obs import (
     merge_snapshots,
     quantile_from_snapshot,
 )
-from repro.obs.metrics import ALPHA
+from repro.obs.metrics import ALPHA, _upper_edge
 
 
 class TestCounter:
@@ -86,6 +86,22 @@ class TestHistogram:
             assert cumulative == sum(1 for value in samples if value <= edge)
         # Only non-empty buckets are rendered, plus +Inf.
         assert len(buckets) == len(samples) + 1
+
+    def test_every_edge_lands_in_its_own_bucket(self):
+        # A sample equal to a rendered `le` edge is counted on that edge's
+        # line, not one line up: bucket choice and edge label must round
+        # the same way, which log and pow alone do not.
+        keys = range(-2000, 2000)
+        edges = [_upper_edge(key) for key in keys]
+        registry = MetricsRegistry()
+        hist = registry.histogram("h")
+        for edge in edges:
+            hist.observe(edge)
+        assert hist.snapshot()["buckets"] == {str(key): 1 for key in keys}
+        buckets = _exposition_buckets(registry.render_text(), "h")
+        assert [edge for edge, _ in buckets[:-1]] == edges
+        for edge, cumulative in buckets:
+            assert cumulative == np.searchsorted(edges, edge, side="right")
 
     def test_count_sum_mean(self):
         hist = Histogram("h")

@@ -21,6 +21,7 @@ import pytest
 
 from repro.analysis.racecheck import RaceDetector
 from repro.serve import (
+    AdmissionConfig,
     EmbeddingIndex,
     RecommendationService,
     ServingPool,
@@ -124,6 +125,76 @@ class TestServing:
             assert aggregate["requests"] == sum(
                 worker["stats"]["requests"] for worker in stats["per_worker"]
             )
+
+
+def _burst(url, threads, per_thread):
+    """Fire concurrent GETs; returns ``(status, body, headers)`` triples."""
+    results = []
+    results_lock = threading.Lock()
+
+    def client():
+        for _ in range(per_thread):
+            try:
+                with urllib.request.urlopen(url, timeout=10) as response:
+                    record = (response.status, response.read(), response.headers)
+            except urllib.error.HTTPError as error:
+                record = (error.code, error.read(), error.headers)
+            with results_lock:
+                results.append(record)
+
+    clients = [threading.Thread(target=client) for _ in range(threads)]
+    for thread in clients:
+        thread.start()
+    for thread in clients:
+        thread.join()
+    return results
+
+
+class TestAdmission:
+    def test_burst_is_shed_with_retry_after_and_admitted_answers_match(
+        self, artifact
+    ):
+        # One permit and no queue per worker: a burst of 8 concurrent
+        # clients must both shed and serve.  The 5 ms batching window
+        # gives every admitted request a real service time to contend
+        # for; batching never changes scores, so the served answers still
+        # equal the unbatched single-process reference.
+        reference_service = RecommendationService(
+            EmbeddingIndex.load(artifact, mmap=True),
+            cache_capacity=0,
+            deadline_ms=None,
+            batch_wait_ms=0.0,
+        )
+        try:
+            reference = reference_service.recommend(1, k=5)["items"]
+        finally:
+            reference_service.close()
+        with _pool(
+            artifact,
+            service_config=dict(
+                cache_capacity=0,
+                deadline_ms=None,
+                batch_wait_ms=5.0,
+                scorer_threads=2,
+            ),
+            admission=AdmissionConfig(
+                max_inflight=1, max_queue=0, queue_timeout_ms=50.0, retry_after_s=1.0
+            ),
+        ) as pool:
+            burst = _burst(f"{pool.url}/recommend?group=1&k=5", threads=8, per_thread=3)
+            served = [r for r in burst if r[0] == 200]
+            shed = [r for r in burst if r[0] == 429]
+            assert len(served) + len(shed) == len(burst), [r[0] for r in burst]
+            assert served, "burst produced no successful responses"
+            assert shed, "burst produced no 429s despite max_inflight=1"
+            for _, body, headers in shed:
+                assert int(headers["Retry-After"]) >= 1
+                assert "error" in json.loads(body)
+            for _, body, _ in served:
+                assert json.loads(body)["items"] == reference
+            aggregate = pool.stats()["aggregate"]
+            assert aggregate["responding"] == 2
+            assert aggregate["shed"] >= len(shed)
 
 
 class TestCrashSupervision:

@@ -235,6 +235,15 @@ class TestHTTP:
         status, payload = _get(f"{server.url}/recommend?group=0&k=3")
         assert payload["source"] == "cache"
 
+    def test_recommend_entries_are_well_formed_and_hits_are_counted(self, server):
+        _, payload = _get(f"{server.url}/recommend?group=0&k=3")
+        for entry in payload["items"]:
+            assert set(entry) == {"item", "score", "probability"}
+            assert 0.0 <= entry["probability"] <= 1.0
+        _get(f"{server.url}/recommend?group=0&k=3")
+        _, stats = _get(f"{server.url}/stats")
+        assert stats["cache"]["hits"] >= 1
+
     def test_recommend_post_json_body(self, server):
         request = urllib.request.Request(
             f"{server.url}/recommend",

@@ -1,13 +1,23 @@
 """OnlineUpdater ingestion, DeltaFeedWatcher tailing, and the CLI path."""
 
+import json
 import time
+import urllib.request
 
 import pytest
 
 from repro.cli import main
+from repro.core import KGAG, KGAGConfig, KGAGTrainer, TrainState
+from repro.data import MovieLensLikeConfig, movielens_like, split_interactions
 from repro.data.io import save_dataset
 from repro.obs.metrics import MetricsRegistry
-from repro.serve import EmbeddingIndex, RecommendationService
+from repro.rng import ensure_rng
+from repro.serve import (
+    EmbeddingIndex,
+    RecommendationServer,
+    RecommendationService,
+    build_index,
+)
 from repro.stream import DeltaBatch, OnlineUpdater, DeltaFeedWatcher, write_delta_jsonl
 
 
@@ -28,6 +38,47 @@ def _cold_item_delta(dataset):
         for u in members
     ]
     return DeltaBatch.from_records(records)
+
+
+def _cold_item_delta_near_taste(dataset):
+    """One cold item, a new group of group 0's members, and no group pair.
+
+    The item copies every attribute edge of the items those members
+    interacted with, so propagation places it near their taste; without a
+    group-item training pair the exclude-seen mask cannot hide it.
+    """
+    members = [int(u) for u in dataset.groups[0]]
+    cold_item = num_items = dataset.num_items
+    liked = {
+        int(item) for user, item in dataset.user_item.pairs if int(user) in members
+    }
+    edges = {
+        (int(relation), int(tail) - num_items)
+        for head, relation, tail in dataset.kg.triples
+        if int(head) in liked and int(tail) >= num_items
+    }
+    records = [
+        {"op": "add_item", "name": "cold-item"},
+        {"op": "add_group", "members": members},
+    ]
+    records += [
+        {
+            "op": "add_edge",
+            "head": f"item:{cold_item}",
+            "relation": relation,
+            "tail": f"attr:{attr}",
+        }
+        for relation, attr in sorted(edges)
+    ]
+    records += [
+        {"op": "add_interaction", "user": user, "item": cold_item} for user in members
+    ]
+    return DeltaBatch.from_records(records)
+
+
+def _get_json(url):
+    with urllib.request.urlopen(url, timeout=10) as response:
+        return json.loads(response.read().decode("utf-8"))
 
 
 class TestOnlineUpdater:
@@ -150,6 +201,76 @@ class TestDeltaFeedWatcher:
         assert watcher._thread is None  # joined on close
         assert watcher.reports()[0]["path"].endswith("0001.jsonl")
 
+    def test_watcher_ingest_serves_the_cold_item_live(self, tmp_path):
+        # The full loop through HTTP: a served index, a feed file claimed
+        # by the watcher, a warm-started fine-tune, a hot swap, and the
+        # cold item in the new group's top-5 on the new index version.
+        # Top-5 placement needs this world's lr 0.05 / 6 fine-tune epochs
+        # and a delta that copies every attribute edge the members reach;
+        # weaker settings swap correctly but rank the item lower.
+        dataset = movielens_like(
+            "rand",
+            MovieLensLikeConfig(num_users=30, num_items=40, num_groups=8, seed=7),
+        )
+        split = split_interactions(dataset.group_item, rng=ensure_rng(7))
+        model = KGAG(
+            dataset.kg,
+            dataset.num_users,
+            dataset.num_items,
+            dataset.user_item.pairs,
+            dataset.groups,
+            KGAGConfig(
+                embedding_dim=8,
+                num_layers=1,
+                num_neighbors=2,
+                learning_rate=0.05,
+                batch_size=64,
+                seed=7,
+            ),
+        )
+        trainer = KGAGTrainer(model, split.train, dataset.user_item)
+        trainer.train_epoch()
+        state = TrainState.capture(trainer, epoch=0)
+        index = build_index(
+            model, train_interactions=split.train, user_interactions=dataset.user_item
+        )
+        service = RecommendationService(index)
+        server = RecommendationServer(service, port=0).start()
+        try:
+            updater = OnlineUpdater(
+                service,
+                dataset,
+                state,
+                split.train,
+                group_validation=split.validation,
+                finetune_epochs=6,
+                seed=7,
+            )
+            write_delta_jsonl(
+                _cold_item_delta_near_taste(dataset), tmp_path / "0001.jsonl"
+            )
+            watcher = DeltaFeedWatcher(updater, tmp_path)
+            assert watcher.poll_once() == 1
+            (report,) = watcher.reports()
+            assert "error" not in report
+            assert report["swap"] is not None
+            new_version = report["index_version"]
+            assert new_version != index.version
+
+            new_group, cold_item = dataset.groups.num_groups, dataset.num_items
+            answer = _get_json(f"{server.url}/recommend?group={new_group}&k=5")
+            assert answer["index_version"] == new_version
+            assert cold_item in [entry["item"] for entry in answer["items"]]
+            stats = _get_json(f"{server.url}/stats")
+            assert stats["cache"]["swap_invalidations"] >= 1
+            assert stats["index"]["version"] == new_version
+            with urllib.request.urlopen(f"{server.url}/metrics", timeout=10) as response:
+                text = response.read().decode("utf-8")
+            assert "stream_deltas_total 1" in text
+            assert "serve_index_swaps_total 1" in text
+        finally:
+            server.stop()
+
     def test_bad_poll_interval(self, dataset, split, state, tmp_path):
         updater = OnlineUpdater(
             None, dataset, state, split.train, finetune_epochs=0, seed=3
@@ -191,8 +312,6 @@ class TestCLIIngestDelta:
         assert grown.num_items == dataset.num_items + 1
         index = EmbeddingIndex.load(tmp_path / "grown-index.npz")
         assert index.num_items == dataset.num_items + 1
-        from repro.core.checkpoint import TrainState
-
         grown_state = TrainState.load(tmp_path / "grown-state.npz")
         assert grown_state.epoch == state.epoch + 1
 

@@ -57,9 +57,7 @@ PUBLIC_MODULES = [
     "repro.core.model",
     "repro.core.trainer",
     "repro.core.checkpoint",
-    "repro.core.ckpt_smoke",
     "repro.core.parallel",
-    "repro.core.par_smoke",
     "repro.core.predict",
     "repro.core.diagnostics",
     "repro.baselines",
@@ -85,13 +83,10 @@ PUBLIC_MODULES = [
     "repro.serve.server",
     "repro.serve.admission",
     "repro.serve.pool",
-    "repro.serve.smoke",
-    "repro.serve.load_smoke",
     "repro.stream",
     "repro.stream.delta",
     "repro.stream.grow",
     "repro.stream.updater",
-    "repro.stream.smoke",
     "repro.experiments",
     "repro.cli",
 ]
