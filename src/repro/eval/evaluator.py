@@ -47,16 +47,18 @@ def score_all_items(
         Optional prebuilt serving index — either a
         :class:`~repro.serve.index.EmbeddingIndex` or a
         :class:`~repro.serve.engine.RankingEngine`.  When given, scoring
-        reads the frozen propagation arrays instead of re-running the
-        model per chunk (``scorer`` is ignored), so the GCN extraction
-        happens once per index, not once per evaluation.
+        runs the engine's full-catalog path
+        (:meth:`~repro.serve.engine.RankingEngine.score_matrix`) over the
+        frozen arrays instead of re-running the model per chunk
+        (``scorer`` is ignored); scores then agree with the model path to
+        float round-off, not bit for bit.
 
     Returns ``{group_id: (num_items,) score vector}``.
     """
     group_ids = np.unique(np.asarray(group_ids, dtype=np.int64))
     if index is not None:
         engine = _as_engine(index, chunk_size)
-        matrix = engine.scores_for_groups(group_ids)
+        matrix = engine.score_matrix(group_ids)
         return {int(group): matrix[row] for row, group in enumerate(group_ids)}
     scores = np.empty(len(group_ids) * num_items, dtype=np.float64)
     for start in range(0, len(scores), chunk_size):
@@ -73,7 +75,7 @@ def score_all_items(
 
 def _as_engine(index, chunk_size: int):
     """Accept an EmbeddingIndex or a ready RankingEngine."""
-    if hasattr(index, "scores_for_groups"):
+    if hasattr(index, "score_matrix"):
         return index
     from ..serve.engine import RankingEngine  # deferred: eval stays light
 

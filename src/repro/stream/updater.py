@@ -286,13 +286,15 @@ class DeltaFeedWatcher:
     Each file is one :class:`DeltaBatch`; files are claimed exactly once
     (by name) and processed in sorted order, so producers can drop
     ``0001.jsonl``, ``0002.jsonl``, ... into the directory and rely on
-    in-order ingestion.  Malformed files are recorded as errored reports
-    rather than killing the watcher.  ``close()`` stops and joins the
-    thread; the watcher is also a context manager.
+    in-order ingestion.  The directory is listed every ``poll_interval``
+    seconds; a landed file waits up to that long before ingestion starts.
+    Malformed files are recorded as errored reports rather than killing
+    the watcher.  ``close()`` stops and joins the thread; the watcher is
+    also a context manager.
     """
 
     def __init__(self, updater: OnlineUpdater, directory: str | Path,
-                 poll_interval: float = 0.25):
+                 poll_interval: float = 0.05):
         if poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
         self.updater = updater

@@ -43,7 +43,8 @@ class TestScoreAllItems:
     def test_prebuilt_index_matches_model_scorer(self):
         from repro.core import KGAG, KGAGConfig
         from repro.data import MovieLensLikeConfig, movielens_like
-        from repro.serve import build_index
+        from repro.serve import RankingEngine, build_index
+        from tests.serve.test_catalog_properties import assert_same_top5
 
         dataset = movielens_like(
             "rand",
@@ -63,11 +64,20 @@ class TestScoreAllItems:
             groups,
             dataset.num_items,
         )
-        indexed = score_all_items(
-            None, groups, dataset.num_items, index=build_index(model)
-        )
-        for group in groups:
-            np.testing.assert_array_equal(direct[int(group)], indexed[int(group)])
+        index = build_index(model)
+        # The tape equals the engine's pair path bit for bit over the
+        # full cross product...
+        pairs = RankingEngine(index).score_pairs(
+            np.repeat(groups, dataset.num_items),
+            np.tile(np.arange(dataset.num_items), len(groups)),
+        ).reshape(len(groups), dataset.num_items)
+        tape = np.stack([direct[int(group)] for group in groups])
+        np.testing.assert_array_equal(tape, pairs)
+        # ...and the full-catalog path agrees with it to round-off.
+        indexed = score_all_items(None, groups, dataset.num_items, index=index)
+        catalog = np.stack([indexed[int(group)] for group in groups])
+        np.testing.assert_allclose(catalog, pairs, atol=1e-9, rtol=0)
+        assert_same_top5(catalog, pairs)
 
 
 class TestEvaluateGroupRecommender:

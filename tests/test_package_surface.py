@@ -15,6 +15,7 @@ import repro
 PUBLIC_MODULES = [
     "repro",
     "repro.rng",
+    "repro.malloc",
     "repro.analysis",
     "repro.analysis.rules",
     "repro.analysis.lint",
