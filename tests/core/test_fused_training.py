@@ -12,6 +12,8 @@ indistinguishable from the reference paths:
 * tape-free validation (``tape_free_eval=True``, through the serving
   engine over live weights) returns the same metrics and the same
   top-K rankings as the tape path, across the supported config matrix;
+* across that matrix, the engine's pair path equals the tape exactly,
+  and its ``explain`` and catalog path agree to round-off;
 * ``KGAGTrainer._gradient_norm`` equals the naive two-pass formula.
 """
 
@@ -176,6 +178,54 @@ class TestTapeFreeEvaluation:
             np.argsort(-engine_scores, axis=1, kind="stable")[:, :5],
             np.argsort(-tape_scores, axis=1, kind="stable")[:, :5],
         )
+
+    @pytest.mark.parametrize(
+        "override", CONFIG_MATRIX, ids=lambda o: "-".join(f"{k}" for k in o) or "base"
+    )
+    def test_engine_matches_tape_scores(self, world, override):
+        # The tape is the oracle for every engine the program serves
+        # from: the trainer's live view and a frozen index.  The pair
+        # path equals it exactly, explain within 1e-12 (as in
+        # tests/serve/test_engine_parity.py), and the catalog path to
+        # round-off, with the same top-5.
+        from repro.nn import no_grad
+        from repro.serve import RankingEngine, build_index
+        from tests.serve.test_catalog_properties import assert_same_top5
+
+        dataset, split = world
+        base = dict(embedding_dim=8, num_layers=2, num_neighbors=3, seed=11)
+        model = build_model(dataset, KGAGConfig(**{**base, **override}))
+        trainer = KGAGTrainer(model, split.train, dataset.user_item)
+        group_ids = np.arange(dataset.groups.num_groups)
+        items = np.arange(dataset.num_items)
+        model.eval()
+        with no_grad():
+            tape_scores = np.stack(
+                [
+                    model.group_item_scores(
+                        np.full(dataset.num_items, g), items
+                    ).numpy()
+                    for g in group_ids
+                ]
+            )
+            tape_explain = model.explain(1, 2)
+        engines = [trainer._ranking_engine(), RankingEngine(build_index(model))]
+        for engine in engines:
+            pair_scores = engine.score_pairs(
+                np.repeat(group_ids, dataset.num_items),
+                np.tile(items, len(group_ids)),
+            ).reshape(tape_scores.shape)
+            np.testing.assert_array_equal(pair_scores, tape_scores)
+            served = engine.explain(1, 2)
+            assert served["members"] == tape_explain["members"]
+            for key in ("attention", "sp", "pi"):
+                np.testing.assert_allclose(
+                    served[key], tape_explain[key], atol=1e-12, rtol=0
+                )
+            assert served["score"] == pytest.approx(tape_explain["score"], abs=1e-12)
+            engine_scores = engine.score_matrix(group_ids)
+            np.testing.assert_allclose(engine_scores, tape_scores, atol=1e-9, rtol=0)
+            assert_same_top5(engine_scores, tape_scores)
 
     def test_unsupported_model_falls_back(self, world):
         dataset, split = world
