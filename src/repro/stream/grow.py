@@ -22,13 +22,15 @@ test pins this.  :func:`warm_start` packages the full loop: build the
 grown model, grow the state, restore it into a fresh trainer; because
 ``KGAGTrainer.fit`` would restore the *pre-delta* best snapshot at the
 end, fine-tuning runs through :func:`finetune` (plain ``train_epoch``
-calls) instead.
+calls in a forked child) instead.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import traceback
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -278,7 +280,6 @@ def warm_start(
     group_validation: InteractionTable | None = None,
     init: str = "rng",
     rng: np.random.Generator | int | None = None,
-    metrics=None,
 ) -> KGAGTrainer:
     """Build a trainer over the grown ``dataset`` resuming from ``state``.
 
@@ -311,7 +312,6 @@ def warm_start(
         group_train,
         dataset.user_item,
         group_validation=group_validation,
-        metrics=metrics,
     )
     grown.restore(trainer)
     return trainer
@@ -324,8 +324,90 @@ def finetune(trainer: KGAGTrainer, epochs: int) -> list[float]:
     correct for from-scratch training, wrong for a warm start whose best
     snapshot predates the delta.  Fine-tuning therefore drives
     ``train_epoch`` directly; zero epochs is an exact no-op (the
-    warm-start equivalence guarantee).
+    warm-start equivalence guarantee) and forks nothing.
+
+    The epochs run in a child forked from the caller, so a serving
+    process's reads never wait on the fine-tune for the GIL, and the
+    server's resident set no longer includes the epochs' working memory
+    (it moves to the child).  The child sends back the losses and a
+    :class:`TrainState` capture over a one-way pipe, and the parent
+    restores it into ``trainer``: parameters, Adam moments and every RNG
+    stream end bit-identical to training in process.  Instruments the
+    child updates — the trainer's metrics registry, ``compile_stats``,
+    compiled programs — are not carried back.
+
+    The child only runs ``train_epoch`` and ``TrainState.capture`` on the
+    trainer's own objects, so it takes no lock a server thread can hold
+    at fork time.  If it raises, the same exception type is raised here
+    with the child's traceback in the message; if it dies without
+    answering (``os._exit``, a signal, ``KeyboardInterrupt``),
+    ``RuntimeError`` names its exit code.  Either way ``trainer`` is left
+    untouched.  A parallel trainer (``workers > 1``) is refused: its
+    worker pool cannot live inside the forked child.
     """
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
-    return [float(trainer.train_epoch()) for _ in range(int(epochs))]
+    epochs = int(epochs)
+    if epochs == 0:
+        return []
+    if trainer.workers > 1:
+        raise ValueError(
+            f"finetune needs a sequential trainer (workers=1), got "
+            f"workers={trainer.workers}"
+        )
+    context = get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    with receiver, sender:
+        child = context.Process(
+            target=_finetune_child,
+            args=(trainer, epochs, receiver, sender),
+            name="repro-finetune",
+            daemon=True,
+        )
+        child.start()
+        try:
+            # The child now holds the only write end: its death reads as EOF.
+            sender.close()
+            try:
+                reply = receiver.recv()
+            except EOFError:
+                reply = None
+        finally:
+            # Close the read end first: a child blocked sending into a
+            # pipe nobody reads (the parent interrupted) would never exit.
+            receiver.close()
+            child.join()
+    if reply is None:
+        raise RuntimeError(
+            f"fine-tune child exited with code {child.exitcode} "
+            f"without sending a result"
+        )
+    if reply[0] == "error":
+        _, error_type, child_traceback = reply
+        message = f"in the fine-tune child:\n{child_traceback}"
+        try:
+            error = error_type(message)
+        except TypeError:  # a type that takes no single message argument
+            error = RuntimeError(f"{error_type.__name__} {message}")
+        raise error
+    _, losses, state = reply
+    state.restore(trainer)
+    trainer.model.train()  # as train_epoch leaves it in process
+    return losses
+
+
+def _finetune_child(trainer: KGAGTrainer, epochs: int, receiver, sender) -> None:
+    """Forked child of :func:`finetune`: train, capture, reply once."""
+    # The inherited read end would keep the pipe open after the parent
+    # closes its own, and a large reply would then block forever.
+    receiver.close()
+    try:
+        losses = [float(trainer.train_epoch()) for _ in range(epochs)]
+        # restore() ignores the epoch number; the caller records its own.
+        reply = ("done", losses, TrainState.capture(trainer, epoch=0))
+    except Exception as error:
+        reply = ("error", type(error), traceback.format_exc())
+    try:
+        sender.send(reply)
+    except BrokenPipeError:  # the parent stopped reading
+        pass

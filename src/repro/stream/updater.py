@@ -7,7 +7,8 @@ each :class:`~repro.stream.delta.DeltaBatch` into a served answer:
 1. ``apply_delta`` grows the dataset (stable id remapping);
 2. ``warm_start`` + ``finetune`` adapt the checkpoint for a short budget
    (old rows and Adam moments carried bit-exactly, new rows initialized
-   from seeded streams or neighbor means);
+   from seeded streams or neighbor means; the epochs run in a forked
+   child);
 3. a fresh :class:`~repro.serve.index.EmbeddingIndex` is built and
    atomically hot-swapped into the :class:`RecommendationService` via
    its ``_index_lock`` reload path — in-flight requests finish on the
@@ -23,25 +24,34 @@ Concurrency: ingestion is serialized by ``_ingest_lock`` while the
 published world references are guarded by ``_state_lock`` (acquired
 strictly after ``_ingest_lock``); readers like :meth:`snapshot` only
 ever see a consistent (dataset, state, split) triple.
-:class:`DeltaFeedWatcher` tails a feed directory from a background
-thread (``serve --watch-deltas``), claiming each file exactly once.
+The fine-tune epochs run in a child forked by
+:func:`~repro.stream.grow.finetune`, so they do not hold the serving
+process's GIL while reads run, and the server's resident set does not
+include their working memory.  Instruments the child updates are not
+carried back; ``stream/finetune_seconds`` is observed here, in the
+parent.  :class:`DeltaFeedWatcher` tails a feed directory from a
+background thread (``serve --watch-deltas``), claiming each file
+exactly once; a failed ingest becomes an errored report and polling
+continues.
 """
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from pathlib import Path
 
-from ..nn.serialization import CheckpointError
 from ..core.checkpoint import TrainState
 from ..data.interactions import InteractionTable
 from ..obs.metrics import MetricsRegistry, NULL_REGISTRY
 from ..serve.index import build_index
-from .delta import DeltaBatch, DeltaError, read_delta_jsonl
+from .delta import DeltaBatch, read_delta_jsonl
 from .grow import GROW_INITS, finetune, warm_start
 
 __all__ = ["OnlineUpdater", "DeltaFeedWatcher"]
+
+_LOGGER = logging.getLogger(__name__)
 
 
 class OnlineUpdater:
@@ -288,9 +298,10 @@ class DeltaFeedWatcher:
     ``0001.jsonl``, ``0002.jsonl``, ... into the directory and rely on
     in-order ingestion.  The directory is listed every ``poll_interval``
     seconds; a landed file waits up to that long before ingestion starts.
-    Malformed files are recorded as errored reports rather than killing
-    the watcher.  ``close()`` stops and joins the thread; the watcher is
-    also a context manager.
+    A file whose ingest raises (malformed, or a fine-tune that failed) is
+    logged and recorded as an errored report naming the exception type,
+    rather than killing the watcher.  ``close()`` stops and joins the
+    thread; the watcher is also a context manager.
     """
 
     def __init__(self, updater: OnlineUpdater, directory: str | Path,
@@ -319,8 +330,14 @@ class DeltaFeedWatcher:
         for path in pending:
             try:
                 report = self.updater.ingest_path(path)
-            except (DeltaError, CheckpointError, OSError) as error:
-                report = {"path": str(path), "error": str(error)}
+            except Exception as error:
+                # Any failed ingest (a malformed file, a dead fine-tune
+                # child, ...) is reported; the watcher keeps polling.
+                _LOGGER.exception("delta ingest failed: %s", path)
+                report = {
+                    "path": str(path),
+                    "error": f"{type(error).__name__}: {error}",
+                }
             with self._lock:
                 self._reports.append(report)
             ran += 1

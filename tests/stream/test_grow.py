@@ -1,12 +1,19 @@
-"""grow_state / warm_start: bit-exact preservation and fresh-row init."""
+"""grow_state / warm_start / finetune: bit-exact preservation and fresh-row init."""
+
+import multiprocessing
+import multiprocessing.connection
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from repro.core import KGAG
+from repro.core import KGAG, KGAGTrainer
 from repro.core.checkpoint import TrainState
+from repro.data.interactions import InteractionTable
 from repro.nn.serialization import CheckpointError
 from repro.stream import DeltaBatch, apply_delta, finetune, grow_state, warm_start
+from repro.stream import grow
 from repro.stream.grow import parameter_order
 
 
@@ -209,3 +216,96 @@ class TestWarmStartTraining:
             np.array([new_group]), np.array([cold_item])
         )
         assert np.isfinite(score.numpy()).all()
+
+
+class TestForkedFinetune:
+    """finetune trains in a forked child and restores the result here."""
+
+    def _warm_trainer(self, dataset, split, state):
+        grown_dataset, plan = apply_delta(dataset, _growing_delta(dataset))
+        group_train = InteractionTable(
+            grown_dataset.groups.num_groups,
+            grown_dataset.num_items,
+            split.train.pairs,
+        )
+        return warm_start(grown_dataset, state, plan, group_train, rng=5)
+
+    def test_forked_epochs_match_in_process_training(self, dataset, split, state):
+        forked = self._warm_trainer(dataset, split, state)
+        twin = self._warm_trainer(dataset, split, state)
+        losses = finetune(forked, 2)
+        expected = [twin.train_epoch() for _ in range(2)]
+        assert losses == expected
+        _assert_states_bit_exact(
+            TrainState.capture(forked, epoch=2), TrainState.capture(twin, epoch=2)
+        )
+        # The RNG streams came back too: the next epoch draws the same batches.
+        assert forked.train_epoch() == twin.train_epoch()
+        assert multiprocessing.active_children() == []
+
+    def _parameters(self, trainer):
+        return {name: p.data.copy() for name, p in trainer.model.named_parameters()}
+
+    def _assert_untouched(self, trainer, before):
+        for name, parameter in trainer.model.named_parameters():
+            assert np.array_equal(parameter.data, before[name]), name
+        assert multiprocessing.active_children() == []
+
+    def test_child_exception_reraised_with_its_type(self, dataset, split, state):
+        trainer = self._warm_trainer(dataset, split, state)
+        before = self._parameters(trainer)
+
+        def broken_epoch():
+            raise ValueError("bad batch in the child")
+
+        trainer.train_epoch = broken_epoch  # only the forked child calls it
+        with pytest.raises(ValueError, match="bad batch in the child"):
+            finetune(trainer, 2)
+        self._assert_untouched(trainer, before)
+
+    def test_child_death_names_exit_code(self, dataset, split, state):
+        trainer = self._warm_trainer(dataset, split, state)
+        before = self._parameters(trainer)
+        trainer.train_epoch = lambda: os._exit(3)
+        with pytest.raises(RuntimeError, match="code 3"):
+            finetune(trainer, 1)
+        self._assert_untouched(trainer, before)
+
+    def test_interrupted_parent_reaps_a_blocked_child(
+        self, dataset, split, state, monkeypatch
+    ):
+        # A reply larger than the pipe buffer blocks the child until the
+        # parent reads it; a parent that stops reading must still reap it.
+        trainer = self._warm_trainer(dataset, split, state)
+        trainer.train_epoch = lambda: 0.0
+        monkeypatch.setattr(
+            grow.TrainState,
+            "capture",
+            classmethod(lambda cls, trainer, epoch: np.zeros(1 << 20)),
+        )
+
+        def interrupted(connection):
+            raise RuntimeError("parent interrupted")
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "recv", interrupted)
+        raised = []
+
+        def run():
+            try:
+                finetune(trainer, 1)
+            except RuntimeError as error:
+                raised.append(error)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert [str(error) for error in raised] == ["parent interrupted"]
+        assert multiprocessing.active_children() == []
+
+    def test_parallel_trainer_rejected(self, dataset, split, config):
+        model = _model_for(dataset, config)
+        trainer = KGAGTrainer(model, split.train, dataset.user_item, workers=2)
+        with pytest.raises(ValueError, match="workers"):
+            finetune(trainer, 1)
+        assert multiprocessing.active_children() == []

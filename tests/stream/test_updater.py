@@ -186,6 +186,39 @@ class TestDeltaFeedWatcher:
         assert "error" not in good
         assert updater.deltas_applied == 1
 
+    def test_failed_ingest_reported_and_polling_continues(
+        self, dataset, split, state, tmp_path, monkeypatch
+    ):
+        # An ingest that fails with something other than a feed or
+        # checkpoint error (say, a fine-tune child that died) must not
+        # end the watcher: the next file is still ingested.
+        updater = OnlineUpdater(
+            None, dataset, state, split.train, finetune_epochs=0, seed=3
+        )
+        real_ingest = updater.ingest
+        calls = []
+
+        def flaky_ingest(delta, received_at=None):
+            calls.append(delta)
+            if len(calls) == 1:
+                raise RuntimeError("fine-tune child exited with code 3")
+            return real_ingest(delta, received_at=received_at)
+
+        monkeypatch.setattr(updater, "ingest", flaky_ingest)
+        write_delta_jsonl(_cold_item_delta(dataset), tmp_path / "0001.jsonl")
+        write_delta_jsonl(_cold_item_delta(dataset), tmp_path / "0002.jsonl")
+        with DeltaFeedWatcher(updater, tmp_path, poll_interval=0.05) as watcher:
+            deadline = time.monotonic() + 30.0
+            while len(watcher.reports()) < 2 and time.monotonic() < deadline:
+                time.sleep(0.02)
+        failed, ingested = watcher.reports()
+        assert failed["path"].endswith("0001.jsonl")
+        assert failed["error"].startswith("RuntimeError: ")
+        assert "code 3" in failed["error"]
+        assert ingested["path"].endswith("0002.jsonl")
+        assert "error" not in ingested
+        assert updater.deltas_applied == 1
+
     def test_background_thread_ingests_and_joins(
         self, dataset, split, state, tmp_path
     ):
