@@ -50,8 +50,11 @@ def score_all_items(
         runs the engine's full-catalog path
         (:meth:`~repro.serve.engine.RankingEngine.score_matrix`) over the
         frozen arrays instead of re-running the model per chunk
-        (``scorer`` is ignored); scores then agree with the model path to
-        float round-off, not bit for bit.
+        (``scorer`` is ignored): one item-major pass that propagates each
+        distinct member user once per chunk of ``max(1, chunk_size //
+        len(group_ids))`` items (``chunk_size`` applies when ``index`` is
+        an index, not a ready engine).  Scores then agree with the model
+        path to float round-off, not bit for bit.
 
     Returns ``{group_id: (num_items,) score vector}``.
     """

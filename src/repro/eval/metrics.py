@@ -40,13 +40,24 @@ def top_k_items(scores: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
+def _hit_ranks(top: np.ndarray, positives: set[int]) -> list[int]:
+    """Ranks (0-based) at which ``top`` holds a positive, best first."""
+    return [rank for rank, item in enumerate(top) if int(item) in positives]
+
+
+def _ndcg(hit_ranks: list[int], num_positives: int, k: int) -> float:
+    dcg = sum(1.0 / np.log2(rank + 2.0) for rank in hit_ranks)
+    ideal_hits = min(num_positives, k)
+    idcg = sum(1.0 / np.log2(rank + 2.0) for rank in range(ideal_hits))
+    return float(dcg / idcg)
+
+
 def hit_at_k(scores: np.ndarray, positives: set[int] | Sequence[int], k: int) -> float:
     """1.0 if any positive appears in the top-k, else 0.0."""
     positives = set(int(p) for p in positives)
     if not positives:
         return 0.0
-    top = top_k_items(scores, k)
-    return 1.0 if any(int(item) in positives for item in top) else 0.0
+    return 1.0 if _hit_ranks(top_k_items(scores, k), positives) else 0.0
 
 
 def recall_at_k(scores: np.ndarray, positives: set[int] | Sequence[int], k: int) -> float:
@@ -54,9 +65,7 @@ def recall_at_k(scores: np.ndarray, positives: set[int] | Sequence[int], k: int)
     positives = set(int(p) for p in positives)
     if not positives:
         return 0.0
-    top = top_k_items(scores, k)
-    recovered = sum(1 for item in top if int(item) in positives)
-    return recovered / len(positives)
+    return len(_hit_ranks(top_k_items(scores, k), positives)) / len(positives)
 
 
 def precision_at_k(scores: np.ndarray, positives: set[int] | Sequence[int], k: int) -> float:
@@ -65,8 +74,7 @@ def precision_at_k(scores: np.ndarray, positives: set[int] | Sequence[int], k: i
     top = top_k_items(scores, k)
     if len(top) == 0:
         return 0.0
-    recovered = sum(1 for item in top if int(item) in positives)
-    return recovered / len(top)
+    return len(_hit_ranks(top, positives)) / len(top)
 
 
 def ndcg_at_k(scores: np.ndarray, positives: set[int] | Sequence[int], k: int) -> float:
@@ -74,15 +82,7 @@ def ndcg_at_k(scores: np.ndarray, positives: set[int] | Sequence[int], k: int) -
     positives = set(int(p) for p in positives)
     if not positives:
         return 0.0
-    top = top_k_items(scores, k)
-    dcg = sum(
-        1.0 / np.log2(rank + 2.0)
-        for rank, item in enumerate(top)
-        if int(item) in positives
-    )
-    ideal_hits = min(len(positives), k)
-    idcg = sum(1.0 / np.log2(rank + 2.0) for rank in range(ideal_hits))
-    return float(dcg / idcg)
+    return _ndcg(_hit_ranks(top_k_items(scores, k), positives), len(positives), k)
 
 
 def evaluate_rankings(
@@ -94,17 +94,19 @@ def evaluate_rankings(
 
     Only groups present in ``positives_by_group`` with at least one
     positive are counted (the paper evaluates over test-set groups).
+    Each group is ranked once; all four metrics read that one top-k.
     """
     hits, recalls, precisions, ndcgs = [], [], [], []
     for group, positives in positives_by_group.items():
         positives = set(int(p) for p in positives)
         if not positives:
             continue
-        scores = scores_by_group[group]
-        hits.append(hit_at_k(scores, positives, k))
-        recalls.append(recall_at_k(scores, positives, k))
-        precisions.append(precision_at_k(scores, positives, k))
-        ndcgs.append(ndcg_at_k(scores, positives, k))
+        top = top_k_items(scores_by_group[group], k)
+        ranks = _hit_ranks(top, positives)
+        hits.append(1.0 if ranks else 0.0)
+        recalls.append(len(ranks) / len(positives))
+        precisions.append(len(ranks) / len(top) if len(top) else 0.0)
+        ndcgs.append(_ndcg(ranks, len(positives), k))
     if not hits:
         raise ValueError("no group had test positives to evaluate")
     return {

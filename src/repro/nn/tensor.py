@@ -115,12 +115,32 @@ def _index_add(full: np.ndarray, key, grad: np.ndarray) -> None:
     * sparse scatters fall back to a stable sort + ``np.add.reduceat``
       segment-sum, touching only the rows actually indexed.
 
-    Every other key kind (slices, masks, tuples, scalars) keeps the
-    ``np.add.at`` path; the accumulation semantics are identical either
-    way (only the float summation order within a segment differs).
+    The accumulation semantics are identical either way (only the float
+    summation order within a segment differs).  Two more key kinds skip
+    ``np.add.at`` with bit-identical results:
+
+    * basic keys (slices, integers, ``...``, e.g. ``scores[:batch]``)
+      hit no element twice, so they are one in-place ``+=``;
+    * a tuple of slices around one 1-D integer array (the PI peer
+      gather ``x[:, peer_index, :]``) becomes one in-place add per
+      array position, in index order — the same sequence of additions
+      ``np.add.at`` performs on every destination cell.
+
+    Every other key kind (masks, mixed or multi-array tuples) keeps
+    ``np.add.at``.
     """
     if not (isinstance(key, np.ndarray) and key.dtype.kind in "iu"):
-        np.add.at(full, key, grad)
+        if _is_basic_key(key):
+            full[key] += grad
+            return
+        axis = _single_array_axis(key)
+        if axis is None:
+            np.add.at(full, key, grad)
+            return
+        head, tail = key[:axis], key[axis + 1 :]
+        lead = (slice(None),) * axis
+        for position, row in enumerate(key[axis]):
+            full[head + (row,) + tail] += grad[lead + (position,)]
         return
     rows = key.reshape(-1)
     if rows.size == 0:
@@ -146,6 +166,33 @@ def _index_add(full: np.ndarray, key, grad: np.ndarray) -> None:
         np.concatenate(([True], sorted_rows[1:] != sorted_rows[:-1]))
     )
     target[sorted_rows[starts]] += np.add.reduceat(flat[order], starts, axis=0)
+
+
+def _is_basic_key(key) -> bool:
+    """Whether ``key`` is basic indexing: slices, integers and ``...`` only."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(
+        isinstance(part, slice)
+        or part is Ellipsis
+        or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
+        for part in parts
+    )
+
+
+def _single_array_axis(key) -> int | None:
+    """Position of the lone 1-D integer array in a tuple of slices, else None."""
+    if not isinstance(key, tuple):
+        return None
+    axis = None
+    for position, part in enumerate(key):
+        if isinstance(part, slice):
+            continue
+        if not (isinstance(part, np.ndarray) and part.ndim == 1 and part.dtype.kind in "iu"):
+            return None
+        if axis is not None:
+            return None
+        axis = position
+    return axis
 
 
 def _coerce_array(value, dtype=None) -> np.ndarray:

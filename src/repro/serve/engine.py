@@ -19,11 +19,12 @@ Two scoring paths:
 * **the catalog path** — every full-catalog read
   (:meth:`RankingEngine.score_matrix`, ``scores_for_group(s)``,
   ``top_k``) gathers each member and item receptive field once and
-  reuses it across the whole catalog.  It reorders float sums, so it
-  agrees with the tape to round-off, not bit for bit.  Served and
-  cached vectors are scored one group per block, so a group's vector
-  depends only on the group and the index, never on which other groups
-  shared its micro-batch.
+  reuses it across the whole catalog, propagating each distinct member
+  user once per item chunk.  It reorders float sums, so it agrees with
+  the tape to round-off, not bit for bit.  Served and cached vectors
+  are scored one group per call, so a group's vector depends only on
+  the group and the index, never on which other groups shared its
+  micro-batch.
 
 :class:`MicroBatcher` coalesces concurrent score requests from server
 threads into one engine call (one forward per distinct group), and
@@ -176,11 +177,12 @@ def _linear(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
 def _catalog_propagate(index, seed_rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Shared-receptive-field propagation for full-catalog scoring.
 
-    ``seed_rows`` is ``(M, S)`` — M independent seed tuples (one group's
-    members, or one item) whose receptive fields are gathered **once**
-    — and ``queries`` is ``(Q, d)`` — Q interaction-object queries, each
-    applied against every seed tuple.  Returns ``(M, S, Q, d)`` final
-    representations.
+    ``seed_rows`` is ``(M, S)`` — M independent seed tuples whose
+    receptive fields are gathered **once**: one tuple of a call's
+    distinct member users, or one item per row — and ``queries`` is
+    ``(Q, d)`` — Q interaction-object queries (an item chunk's
+    candidates, or the call's group queries), each applied against
+    every seed.  Returns ``(M, S, Q, d)`` final representations.
 
     This computes the same per-row math as :func:`propagate` over the
     full ``M x Q`` cross product, but without materializing the cross
@@ -196,8 +198,8 @@ def _catalog_propagate(index, seed_rows: np.ndarray, queries: np.ndarray) -> np.
     GraphSage), distributivity gives ``Σ_k w_k (W_nb e_k)``: when
     ``Q > K`` the ``(d, d)`` GEMM runs over the ``M·n·K`` neighbor rows
     before the mixing instead of the ``M·n·Q`` mixed rows after it.
-    When ``Q <= K`` (the item side of a one-group catalog block) mixing
-    first is the smaller GEMM and is kept.  Deeper layers are already
+    When ``Q <= K`` (the item side of a call with at most K groups)
+    mixing first is the smaller GEMM and is kept.  Deeper layers are already
     ``(M, n, Q, d)`` and mix first.  Only the float summation order
     differs from :func:`propagate`, so results agree to round-off, not
     bit-for-bit.
@@ -404,10 +406,11 @@ class RankingEngine:
         repeated requests for a group (any ``k``) skip the forward pass.
     chunk_size:
         Work bound per forward pass: :meth:`score_pairs` scores at most
-        ``chunk_size`` pairs at a time, and :meth:`score_matrix` scores
-        blocks of ``max(1, chunk_size // num_items)`` groups.  Served
-        reads (``scores_for_group(s)``, ``top_k``) always score one
-        group per block, whatever ``chunk_size`` says.
+        ``chunk_size`` pairs at a time, and :meth:`score_matrix` walks
+        the catalog in item chunks of ``max(1, chunk_size // G)`` for
+        its G groups, so each tile scores about ``chunk_size`` pairs.
+        Served reads (``scores_for_group(s)``, ``top_k``) always score
+        one group per call, whatever ``chunk_size`` says.
     """
 
     def __init__(self, index, cache=None, chunk_size: int = 4096):
@@ -562,16 +565,21 @@ class RankingEngine:
         return mixing
 
     def _aggregate_catalog(
-        self, index, member_vectors: np.ndarray, item_vectors: np.ndarray
+        self,
+        index,
+        member_vectors: np.ndarray,
+        item_vectors: np.ndarray,
+        mixing: np.ndarray | None,
     ) -> np.ndarray:
         """Catalog-path mirror of :meth:`_aggregate` (Eqs. 9-13).
 
         Same math, gather-free: the SP/PI/softmax reductions run as
         einsum contractions and the peer mixing as one block GEMM
-        (:meth:`_pi_mixing_matrix`), which matters at catalog-block
-        batch sizes (``groups x num_items`` rows).  Agrees with the
-        pair path to float round-off, like the rest of the catalog
-        route.
+        (:meth:`_pi_mixing_matrix`, built once per call and passed in
+        as ``mixing``; ``None`` when PI is off), which matters at
+        catalog-tile batch sizes (``groups x chunk`` rows).  Agrees
+        with the pair path to float round-off, like the rest of the
+        catalog route.
         """
         batch, size, dim = member_vectors.shape
         combined = np.zeros((batch, size))
@@ -580,7 +588,7 @@ class RankingEngine:
                 "bsd,bd->bs", member_vectors, item_vectors
             ) * (1.0 / np.sqrt(dim))
         if index.use_pi:
-            hidden = member_vectors.reshape(batch, size * dim) @ self._pi_mixing_matrix(index, size)
+            hidden = member_vectors.reshape(batch, size * dim) @ mixing
             hidden += np.tile(index.attn_bias, size)
             np.maximum(hidden, 0.0, out=hidden)
             combined += (hidden.reshape(batch * size, dim) @ index.attn_context).reshape(
@@ -599,7 +607,7 @@ class RankingEngine:
 
         Cached groups are answered from the score cache; each distinct
         miss is scored through :meth:`score_matrix` as a one-group
-        block, so a row never depends on the rest of the batch — this is
+        call, so a row never depends on the rest of the batch — this is
         the primitive the server's :class:`MicroBatcher` calls.
         """
         return self._scores_for_groups(self.index, group_ids)
@@ -627,18 +635,21 @@ class RankingEngine:
         """``(G, num_items)`` full-catalog scores via shared gathers.
 
         The one full-catalog path — per-epoch validation and every
-        served read: each group's member receptive field and each item's
-        receptive field are gathered once and reused across the whole
-        cross product (see :func:`_catalog_propagate`), instead of once
-        per ``(group, item)`` pair as :meth:`score_pairs` does.  Scores
-        agree with the pair path to float round-off.
+        served read: receptive fields are gathered once per seed and
+        reused across the whole cross product (see
+        :func:`_catalog_propagate`), instead of once per ``(group,
+        item)`` pair as :meth:`score_pairs` does.  Scores agree with the
+        pair path to float round-off.
 
-        Groups are processed in blocks of ``max(1, chunk_size //
-        num_items)``.  That bounds memory only while ``num_items <=
-        chunk_size``: past it every block is one group, and the member
-        side's working set is about ``S * K**(H-1) * num_items * d``
-        floats (the layer-0 outputs of the last hop), whatever
-        ``chunk_size`` says.
+        The loop is item-major.  A member's representation depends only
+        on ``(member, candidate item)`` (Eq. 2), never on its group, so
+        each distinct member user of the call is propagated once per
+        item chunk and its vectors are shared by every group slot it
+        fills.  Items go in chunks of ``max(1, chunk_size // G)``, so
+        ``chunk_size`` bounds every tile (about ``G * chunk`` scored
+        pairs) whatever the catalog size.  A one-group call propagates
+        its members directly: ``GroupSet`` members are distinct, so
+        there is nothing to share.
         """
         return self._score_matrix(self.index, group_ids)
 
@@ -647,61 +658,62 @@ class RankingEngine:
         for group in group_ids:
             if not 0 <= group < index.num_groups:
                 raise KeyError(f"group {group} out of range [0, {index.num_groups})")
-        num_items = index.num_items
-        out = np.empty((len(group_ids), num_items), dtype=np.float64)
-        block = max(1, self.chunk_size // max(1, num_items))
-        for start in range(0, len(group_ids), block):
-            chunk = group_ids[start : start + block]
-            out[start : start + len(chunk)] = self._score_catalog_block(index, chunk)
-        return out
-
-    def _score_catalog_block(self, index, group_ids: np.ndarray) -> np.ndarray:
-        """Full-catalog scores for one block of groups."""
         dim = index.dim
         groups = len(group_ids)
         num_items = index.num_items
+        out = np.empty((groups, num_items), dtype=np.float64)
+        if groups == 0:
+            return out
         members = index.group_members[group_ids]  # (G, S)
         size = members.shape[1]
         member_entities = index.user_entity_offset + members
-        item_entities = index.item_entities  # the whole catalog, (I,)
-
-        # Queries (Eq. 2): candidate item zero-order for member seeds,
-        # mean member zero-order for item seeds.
-        item_queries = index.entity_embeddings[item_entities]  # (I, d)
+        # Item-seed query (Eq. 2): the mean member zero-order.
         member_zero = index.entity_embeddings[member_entities]  # (G, S, d)
         group_queries = member_zero.sum(axis=1) * (1.0 / size)  # (G, d)
 
-        if index.num_layers == 0 or index.entity_final is not None:
-            table = (
-                index.entity_embeddings
-                if index.num_layers == 0
-                else index.entity_final
-            )
-            member_final = np.broadcast_to(
-                table[member_entities][:, None], (groups, num_items, size, dim)
-            )
-            item_final = np.broadcast_to(
-                table[item_entities][None], (groups, num_items, dim)
-            )
-        else:
-            member_final = _catalog_propagate(
-                index, member_entities, item_queries
-            ).transpose(0, 2, 1, 3)  # (G, S, I, d) -> (G, I, S, d)
-            item_final = (
-                _catalog_propagate(
-                    index, item_entities.reshape(-1, 1), group_queries
-                )
-                .reshape(num_items, groups, dim)
-                .transpose(1, 0, 2)  # (G, I, d)
-            )
+        # Query-independent final vectors (no KG, or uniform weights),
+        # else None and each chunk propagates.
+        table = index.entity_embeddings if index.num_layers == 0 else index.entity_final
+        if table is not None:
+            member_rows = table[member_entities][:, None]  # (G, 1, S, d)
+        elif groups == 1:  # GroupSet members are distinct: no dedup, no gather
+            seeds, slots = member_entities, None
+        else:  # each distinct user once; ``slots`` maps group slots to it
+            users, slots = np.unique(member_entities, return_inverse=True)
+            seeds, slots = users.reshape(1, -1), slots.reshape(groups, size)
+        mixing = None  # PI block matrix, built once per call (see below)
 
-        member_flat = member_final.reshape(groups * num_items, size, dim)
-        item_flat = np.ascontiguousarray(item_final).reshape(
-            groups * num_items, dim
-        )
-        group_vectors = self._aggregate_catalog(index, member_flat, item_flat)
-        scores = np.einsum("bd,bd->b", group_vectors, item_flat)
-        return scores.reshape(groups, num_items)
+        width = max(1, self.chunk_size // groups)
+        for start in range(0, num_items, width):
+            items = index.item_entities[start : start + width]
+            chunk = len(items)
+            if table is not None:
+                member_block = np.broadcast_to(member_rows, (groups, chunk, size, dim))
+                item_block = np.broadcast_to(table[items][None], (groups, chunk, dim))
+            else:
+                # Member-seed queries (Eq. 2): the candidates' zero-order.
+                seed_final = _catalog_propagate(
+                    index, seeds, index.entity_embeddings[items]
+                )[0]  # (U, c, d): one row per seed user
+                member_block = (
+                    seed_final[None] if slots is None else seed_final[slots]
+                ).transpose(0, 2, 1, 3)  # (G, S, c, d) -> (G, c, S, d)
+                item_block = (
+                    _catalog_propagate(index, items.reshape(-1, 1), group_queries)
+                    .reshape(chunk, groups, dim)
+                    .transpose(1, 0, 2)  # (G, c, d)
+                )
+            if index.use_pi and mixing is None:
+                # Built after the first chunk's propagation, not before:
+                # concurrent served misses then never hold it at their
+                # propagation peak (the server's peak RSS).
+                mixing = self._pi_mixing_matrix(index, size)
+            member_flat = member_block.reshape(groups * chunk, size, dim)
+            item_flat = np.ascontiguousarray(item_block).reshape(groups * chunk, dim)
+            group_vectors = self._aggregate_catalog(index, member_flat, item_flat, mixing)
+            scores = np.einsum("bd,bd->b", group_vectors, item_flat)
+            out[:, start : start + chunk] = scores.reshape(groups, chunk)
+        return out
 
     def _cache_get(self, index, group: int) -> np.ndarray | None:
         if self.cache is None:

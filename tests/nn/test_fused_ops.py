@@ -158,6 +158,64 @@ class TestSegmentSumScatter:
             table.grad, [[1, 1], [2, 2], [1, 1], [0, 0], [0, 0]]
         )
 
+    @staticmethod
+    def assert_same_bits_as_add_at(key, grad, base):
+        expected = base.copy()
+        np.add.at(expected, key, grad)
+        got = base.copy()
+        _index_add(got, key, grad)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tuple_keys_match_add_at_bit_for_bit(self, seed):
+        # One 1-D integer array among slices (the PI peer gather
+        # ``x[:, peer_index, :]``) is scattered one position at a time,
+        # in index order; repeated indices must land with the same bits
+        # as np.add.at, into empty and already-filled destinations.
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(n) for n in rng.integers(1, 6, size=rng.integers(1, 4)))
+        axis = int(rng.integers(0, len(shape)))
+        index = rng.integers(-shape[axis], shape[axis], size=rng.integers(4, 12) * shape[axis])
+        key = tuple(slice(None) for _ in range(axis)) + (index,)
+        if rng.random() < 0.5:
+            key = key + tuple(slice(None) for _ in range(len(shape) - axis - 1))
+        out_shape = shape[:axis] + (len(index),) + shape[axis + 1 :]
+        grad = rng.normal(size=out_shape) * 10.0 ** rng.integers(-8, 8, size=out_shape)
+        for base in (np.zeros(shape), rng.normal(size=shape) * 1e3):
+            self.assert_same_bits_as_add_at(key, grad, base)
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            slice(None, 3),
+            slice(2, None),
+            (slice(None), slice(1, 3)),
+            (1, slice(None, None, 2)),
+            (Ellipsis, 0),
+            -1,
+            (slice(None), np.array([0, 2, 0])),  # trailing array axis
+        ],
+        ids=str,
+    )
+    def test_basic_and_single_array_keys_match_add_at(self, key):
+        rng = np.random.default_rng(7)
+        base = rng.normal(size=(4, 3))
+        grad = rng.normal(size=base[key].shape)
+        for start in (np.zeros_like(base), base):
+            self.assert_same_bits_as_add_at(key, grad, start)
+
+    def test_peer_gather_backward_matches_add_at(self):
+        # The PI gather of attention.py: every member appears S-1 times.
+        peer_index = np.array([[1, 2], [0, 2], [0, 1]]).reshape(-1)
+        members = Tensor(RNG.normal(size=(5, 3, 4)), requires_grad=True)
+        upstream = RNG.normal(size=(5, 6, 4))
+        (members[:, peer_index, :] * Tensor(upstream)).sum().backward()
+        expected = np.zeros((5, 3, 4))
+        np.add.at(expected, (slice(None), peer_index, slice(None)), upstream)
+        np.testing.assert_array_equal(
+            members.grad.view(np.uint64), expected.view(np.uint64)
+        )
+
     def test_gather_gradcheck(self):
         idx = np.array([0, 2, 2, 1])
         check_gradients(lambda t: t[idx], [randt(4, 3)])

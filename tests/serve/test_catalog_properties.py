@@ -122,3 +122,74 @@ def test_mirror_items_tie_up_to_round_off():
     np.testing.assert_allclose(matrix, pair_scores, atol=1e-9, rtol=0)
     assert abs(pair_scores[0, 0] - pair_scores[0, 2]) < 1e-15
     assert_same_top5(matrix, pair_scores)
+
+
+@st.composite
+def crowded_worlds(draw):
+    """A :func:`worlds` world re-grouped into 2-12 groups over its <= 6
+    users, so most users fill several group slots."""
+    kg, num_users, num_items, groups, pairs = draw(worlds())
+    size = groups.members.shape[1]
+    num_groups = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    members = np.stack(
+        [rng.choice(num_users, size, replace=False) for _ in range(num_groups)]
+    )
+    return kg, num_users, num_items, GroupSet(members, num_users), pairs
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(world=crowded_worlds(), config=configs, chunk_size=st.integers(1, 40))
+def test_shared_member_matrix_matches_pairs_and_single_groups(world, config, chunk_size):
+    # Item-major scoring propagates each distinct user once per item
+    # chunk and gathers its vectors into every group slot it fills;
+    # chunk_size 1-40 covers chunks of one item and calls with more
+    # groups than chunk_size.
+    matrix, pair_scores = catalog_and_pair_scores(world, config, chunk_size)
+    np.testing.assert_allclose(matrix, pair_scores, atol=1e-9, rtol=0)
+    assert_same_top5(matrix, pair_scores)
+
+    kg, num_users, num_items, groups, pairs = world
+    model = KGAG(kg, num_users, num_items, pairs.reshape(-1, 2), groups, config)
+    engine = RankingEngine.from_model(model, chunk_size=chunk_size)
+    single = np.vstack(
+        [engine.score_matrix([group]) for group in range(groups.num_groups)]
+    )
+    np.testing.assert_allclose(matrix, single, atol=1e-9, rtol=0)
+    assert_same_top5(matrix, single)
+
+
+def test_each_distinct_member_propagates_once_per_item_chunk(monkeypatch):
+    import repro.serve.engine as engine_module
+
+    kg = KnowledgeGraph(9, 2, [(0, 0, 1), (1, 1, 2), (3, 0, 7), (5, 1, 6), (8, 0, 4)])
+    members = np.array([[0, 1, 2], [1, 2, 3], [0, 3, 4], [2, 4, 0], [1, 2, 3]])
+    groups = GroupSet(members, num_users=6)  # user 5 is in no group
+    config = KGAGConfig(embedding_dim=4, num_layers=2, num_neighbors=2, seed=3)
+    model = KGAG(kg, 6, 7, np.array([[0, 1], [3, 4], [4, 6]]), groups, config)
+    engine = RankingEngine.from_model(model, chunk_size=10)  # chunks of 10 // 5 = 2 items
+    offset = engine.index.user_entity_offset
+
+    member_seeds, item_seeds = [], []
+    inner = engine_module._catalog_propagate
+
+    def counting(index, seed_rows, queries):
+        (member_seeds if seed_rows.min() >= offset else item_seeds).append(seed_rows)
+        return inner(index, seed_rows, queries)
+
+    monkeypatch.setattr(engine_module, "_catalog_propagate", counting)
+    engine.score_matrix(np.arange(5))
+    assert len(member_seeds) == len(item_seeds) == 4  # ceil(7 / 2) item chunks
+    for seeds in member_seeds:  # users 0-4 once each, not the 15 slots
+        np.testing.assert_array_equal(np.sort(seeds.reshape(-1)), offset + np.arange(5))
+    assert [len(seeds) for seeds in item_seeds] == [2, 2, 2, 1]
+
+    member_seeds.clear()
+    engine.score_matrix([1])  # one group: its own (distinct) members, as given
+    assert len(member_seeds) == 1
+    np.testing.assert_array_equal(member_seeds[0].reshape(-1), offset + members[1])
