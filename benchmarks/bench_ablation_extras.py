@@ -14,12 +14,10 @@ decisions the paper leaves implicit:
 import numpy as np
 import pytest
 
-from repro.core import KGAG, KGAGTrainer
+from repro.core import KGAG, KGAGTrainer, evaluate_model
 from repro.data import split_interactions
-from repro.eval import evaluate_group_recommender
 from repro.experiments import build_dataset
 from repro.kg import NeighborSampler
-from repro.nn import no_grad
 
 from conftest import run_once
 
@@ -36,12 +34,7 @@ def _train_eval(dataset, split, config):
         config,
     )
     KGAGTrainer(model, split.train, dataset.user_item, split.validation).fit()
-    with no_grad():
-        return evaluate_group_recommender(
-            lambda g, v: model.group_item_scores(g, v).numpy(),
-            split.test,
-            train_interactions=split.train,
-        )
+    return evaluate_model(model, split.test, train_interactions=split.train)
 
 
 def _run_variants(profile, variants):

@@ -154,51 +154,13 @@ def test_training_step_with_metrics(benchmark, model, dataset):
     benchmark(lambda: trainer.train_step(batch))
 
 
-def _pr4_trainer(model, dataset, **kwargs):
-    from repro.core.trainer import KGAGTrainer
+def test_evaluate(benchmark, model, dataset):
+    """Per-epoch validation: full-catalog ranking on the serving engine."""
+    from repro.core import evaluate_model
     from repro.data import split_interactions
 
     split = split_interactions(dataset.group_item, rng=np.random.default_rng(0))
-    trainer = KGAGTrainer(
-        model, split.train, dataset.user_item, group_validation=split.validation, **kwargs
-    )
-    return trainer, split
-
-
-def test_training_step_fused(benchmark, model, dataset):
-    """One step through the fused pos+neg pair path (the default)."""
-    trainer, _ = _pr4_trainer(model, dataset, fused=True)
-    batch = next(iter(trainer.loader.epoch()))
-    benchmark(lambda: trainer.train_step(batch))
-
-
-def test_training_step_unfused(benchmark, model, dataset):
-    """The same step scoring positives and negatives separately.
-
-    The delta against ``test_training_step_fused`` is the saving from
-    sharing member receptive-field gathers between the two candidate
-    sets (``KGAG.group_item_scores_pair``).
-    """
-    trainer, _ = _pr4_trainer(model, dataset, fused=False)
-    batch = next(iter(trainer.loader.epoch()))
-    benchmark(lambda: trainer.train_step(batch))
-
-
-def test_evaluate_tape_free(benchmark, model, dataset):
-    """Per-epoch validation through the live-weights serving engine."""
-    trainer, split = _pr4_trainer(model, dataset, tape_free_eval=True)
-    benchmark(lambda: trainer.evaluate(split.validation, k=5))
-
-
-def test_evaluate_tape(benchmark, model, dataset):
-    """The same validation through the reference autograd-tape path.
-
-    The delta against ``test_evaluate_tape_free`` is the cost of
-    building (and immediately discarding) the tape plus per-pair
-    receptive-field gathers during scoring.
-    """
-    trainer, split = _pr4_trainer(model, dataset, tape_free_eval=False)
-    benchmark(lambda: trainer.evaluate(split.validation, k=5))
+    benchmark(lambda: evaluate_model(model, split.validation, 5, split.train))
 
 
 def _cache_workload(cache):

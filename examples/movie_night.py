@@ -23,8 +23,7 @@ from repro import (
     split_interactions,
 )
 from repro.baselines import AggregatedGroupRecommender, MatrixFactorization
-from repro.eval import evaluate_group_recommender
-from repro.nn import no_grad
+from repro.core import evaluate_model
 
 
 def main() -> None:
@@ -70,12 +69,7 @@ def main() -> None:
 
     print("\ntest-split comparison:")
     for name, model in (("CF+LM", cf_lm), ("KGAG ", kgag)):
-        with no_grad():
-            metrics = evaluate_group_recommender(
-                lambda g, v: model.group_item_scores(g, v).numpy(),
-                split.test,
-                train_interactions=split.train,
-            )
+        metrics = evaluate_model(model, split.test, train_interactions=split.train)
         print(f"  {name}  hit@5 = {metrics['hit@5']:.4f}  rec@5 = {metrics['rec@5']:.4f}")
 
     group = int(split.test.pairs[0, 0])

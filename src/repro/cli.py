@@ -451,18 +451,10 @@ def _checkpoint_path(path: str) -> Path:
 
 
 def _cmd_evaluate(args) -> int:
-    from .eval import evaluate_group_recommender
-    from .nn import no_grad
+    from .core import evaluate_model
 
     dataset, split, model = _restore(args)
-    model.eval()
-    with no_grad():
-        metrics = evaluate_group_recommender(
-            lambda g, v: model.group_item_scores(g, v).numpy(),
-            split.test,
-            k=args.k,
-            train_interactions=split.train,
-        )
+    metrics = evaluate_model(model, split.test, args.k, split.train)
     print(json.dumps(metrics, indent=2))
     return 0
 

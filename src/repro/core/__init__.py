@@ -6,6 +6,8 @@
 * :func:`combined_loss` — margin + log loss objective (Sec. III-E),
 * :class:`KGAG` — the end-to-end model,
 * :class:`KGAGTrainer` — Adam mini-batch training with early stopping,
+* :func:`evaluate_model` — the all-items hit@k / rec@k protocol for any
+  trained model (KGAG on the serving engine, baselines on the tape),
 * :class:`TrainState` / :class:`CheckpointManager` — crash-safe
   checkpoints with bit-exact resume,
 * :mod:`repro.core.parallel` — data-parallel workers over shared-memory
@@ -19,7 +21,7 @@ from .propagation import GCNAggregator, GraphSageAggregator, InformationPropagat
 from .attention import AttentionBreakdown, PreferenceAggregation
 from .losses import group_ranking_loss, combined_loss
 from .model import KGAG
-from .trainer import KGAGTrainer, TrainingHistory
+from .trainer import KGAGTrainer, TrainingHistory, evaluate_model
 from .predict import Explanation, GroupRecommender, MemberInfluence, Recommendation
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
     "KGAG",
     "KGAGTrainer",
     "TrainingHistory",
+    "evaluate_model",
     "Explanation",
     "GroupRecommender",
     "MemberInfluence",

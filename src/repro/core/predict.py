@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.interactions import InteractionTable
-from ..nn import no_grad
 from .model import KGAG
 
 __all__ = ["Recommendation", "MemberInfluence", "Explanation", "GroupRecommender"]
@@ -84,16 +83,16 @@ class GroupRecommender:
         the index is used instead.
     index:
         Optional :class:`~repro.serve.index.EmbeddingIndex`.  When set,
-        scoring and explanation delegate to the tape-free
-        :class:`~repro.serve.engine.RankingEngine` instead of re-running
-        the autograd forward.
+        every operation scores from the frozen index.
 
-    :meth:`score` is bit-exact with the model's tape and :meth:`explain`
-    agrees with it within 1e-12.  :meth:`recommend` scores the whole catalog through the
-    engine's catalog path — over ``index``, or over the live model via
-    :meth:`~repro.serve.engine.RankingEngine.from_model`, as trainer
-    validation does — so its scores agree with the tape to float
-    round-off.
+    Every operation runs on the tape-free
+    :class:`~repro.serve.engine.RankingEngine`: over ``index``, or over
+    the live model via
+    :meth:`~repro.serve.engine.RankingEngine.from_model`, as evaluation
+    does.  :meth:`score` is bit-exact with the model's tape on the same
+    batch and :meth:`explain` agrees with it within 1e-12.
+    :meth:`recommend` scores the whole catalog through the engine's
+    catalog path, so its scores agree with the tape to float round-off.
     """
 
     def __init__(
@@ -125,33 +124,27 @@ class GroupRecommender:
             raise ValueError("this GroupRecommender was built without a model")
         return self.model
 
-    def score(self, group_ids, item_ids) -> np.ndarray:
-        """Raw ŷ scores for aligned id arrays."""
+    def _scoring_engine(self):
+        """The index's engine, or one over a view of the live weights."""
         if self._engine is not None:
-            return self._engine.score_pairs(group_ids, item_ids)
+            return self._engine
+        from ..serve.engine import RankingEngine  # deferred import
+
         model = self._require_model()
         model.eval()
-        with no_grad():
-            return model.group_item_scores(group_ids, item_ids).numpy()
+        return RankingEngine.from_model(model)
+
+    def score(self, group_ids, item_ids) -> np.ndarray:
+        """Raw ŷ scores for aligned id arrays."""
+        return self._scoring_engine().score_pairs(group_ids, item_ids)
 
     def recommend(
         self, group_id: int, k: int = 5, exclude_seen: bool = True
     ) -> list[Recommendation]:
-        """Top-k items for one group, best first.
-
-        Raises ``ValueError`` for a model outside
-        :func:`~repro.serve.engine.engine_supports`.
-        """
+        """Top-k items for one group, best first."""
         if k <= 0:
             raise ValueError("k must be positive")
-        engine = self._engine
-        if engine is None:
-            from ..serve.engine import RankingEngine  # deferred import
-
-            model = self._require_model()
-            model.eval()
-            engine = RankingEngine.from_model(model)
-        scores = engine.scores_for_group(int(group_id))
+        scores = self._scoring_engine().scores_for_group(int(group_id))
         if exclude_seen:
             seen = self._seen_items(group_id)
             if len(seen):
@@ -170,13 +163,7 @@ class GroupRecommender:
 
     def explain(self, group_id: int, item_id: int) -> Explanation:
         """Attention-based explanation for one candidate (Fig. 6)."""
-        if self._engine is not None:
-            raw = self._engine.explain(group_id, item_id)
-        else:
-            model = self._require_model()
-            model.eval()
-            with no_grad():
-                raw = model.explain(group_id, item_id)
+        raw = self._scoring_engine().explain(group_id, item_id)
         influences = [
             MemberInfluence(
                 user=int(user),

@@ -32,11 +32,49 @@ from ..obs.metrics import NULL_REGISTRY
 from .losses import combined_loss
 from .model import KGAG, TrainStepPlan
 
-__all__ = ["TrainingHistory", "KGAGTrainer"]
+__all__ = ["TrainingHistory", "KGAGTrainer", "evaluate_model"]
 
 #: Per-signature cache sentinel: tracing failed once for this signature,
 #: so every later step with it goes straight to the dynamic tape.
 _COMPILE_FAILED = object()
+
+
+def evaluate_model(
+    model,
+    interactions: InteractionTable,
+    k: int = 5,
+    train_interactions: InteractionTable | None = None,
+) -> dict[str, float]:
+    """hit@k / rec@k of ``model`` on ``interactions`` (Sec. IV-C).
+
+    A :class:`KGAG` is ranked through a
+    :class:`~repro.serve.engine.RankingEngine` over a zero-copy view of
+    its live weights: no autograd tape, and member/item receptive fields
+    shared across the whole catalog.  Any other model (the Table II
+    baselines) is ranked through its ``group_item_scores`` tape under
+    ``no_grad``.  Items in ``train_interactions`` are masked before
+    ranking.
+    """
+    model.eval()
+    if isinstance(model, KGAG):
+        # Imported lazily: training must not pull in the serving layer
+        # until the first evaluation.
+        from ..serve.engine import RankingEngine
+
+        return evaluate_group_recommender(
+            None,
+            interactions,
+            k=k,
+            train_interactions=train_interactions,
+            index=RankingEngine.from_model(model),
+        )
+    with no_grad():
+        return evaluate_group_recommender(
+            lambda g, v: model.group_item_scores(g, v).numpy(),
+            interactions,
+            k=k,
+            train_interactions=train_interactions,
+        )
 
 
 @dataclass
@@ -60,7 +98,12 @@ class KGAGTrainer:
     Parameters
     ----------
     model:
-        The model (its config supplies all hyper-parameters).
+        The model (its config supplies all hyper-parameters).  A
+        :class:`KGAG` scores each step's positives and negatives in one
+        pass (:meth:`~repro.core.model.KGAG.group_item_scores_pair`) and
+        evaluates through the serving engine (:func:`evaluate_model`).
+        The Table II baselines (CF+/KGCN+ aggregation, MoSAN) take two
+        ``group_item_scores`` calls per step and evaluate on the tape.
     group_train:
         Group-item training positives.
     user_train:
@@ -94,13 +137,6 @@ class KGAGTrainer:
     diagnostics:
         Optional :class:`~repro.core.diagnostics.DiagnosticsRecorder`
         bound to ``model``; ``fit()`` records one snapshot per epoch.
-    fused:
-        Score the positive and negative candidates of each group batch
-        in one propagation pass
-        (:meth:`~repro.core.model.KGAG.group_item_scores_pair`) instead
-        of two.  Per-row math is identical; scores and gradients match
-        the two-call path to float round-off.  On by default; disable to
-        A/B against the reference path.
     compile:
         Execute train steps through the compiled tape executor
         (:mod:`repro.nn.compile`).  The first step of each shape
@@ -115,17 +151,9 @@ class KGAGTrainer:
         profiler, including ``sanitize=True``), and on any op outside
         the compiled set — and is observable via the ``compile/traces``,
         ``compile/replays`` and ``compile/fallbacks`` counters plus the
-        :attr:`compile_stats` dict.  The compiled path always scores
-        through the fused pair plan, regardless of ``fused``.  Off by
-        default.
-    tape_free_eval:
-        Route :meth:`evaluate` / :meth:`validate` through a
-        :class:`~repro.serve.engine.RankingEngine` built directly over
-        the live model weights (no tape, no ``.npz`` round-trip)
-        whenever the model's config is inside the engine's supported
-        matrix; otherwise fall back to the tape path under ``no_grad``.
-        Rankings are identical; raw scores match to ~1e-9 (BLAS
-        reassociation in the batched engine kernels).
+        :attr:`compile_stats` dict.  The compiled path scores through
+        the pair plan, so it needs a :class:`KGAG`: a baseline model
+        raises ``ValueError``.  Off by default.
     workers:
         Number of data-parallel training processes
         (:mod:`repro.core.parallel`).  ``workers=1`` (the default) is the
@@ -151,13 +179,15 @@ class KGAGTrainer:
         metrics=None,
         run_log=None,
         diagnostics=None,
-        fused: bool = True,
-        tape_free_eval: bool = True,
         compile: bool = False,
         workers: int = 1,
     ):
         if int(workers) < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        if compile and not isinstance(model, KGAG):
+            raise ValueError(
+                f"compile=True needs a KGAG model, got {type(model).__name__}"
+            )
         self.model = model
         self.config = model.config
         self.group_train = group_train
@@ -181,8 +211,6 @@ class KGAGTrainer:
         self._best_state: dict | None = None
         self._patience_left = self.config.patience
         self.sanitize = sanitize
-        self.fused = bool(fused)
-        self.tape_free_eval = bool(tape_free_eval)
         self.compile = bool(compile)
         self.workers = int(workers)
         self._pool = None
@@ -271,7 +299,7 @@ class KGAGTrainer:
             return self._forward_backward_compiled(batch)
         self.optimizer.zero_grad()
         triplets = batch.group_triplets
-        if self.fused and hasattr(self.model, "group_item_scores_pair"):
+        if isinstance(self.model, KGAG):
             pos_scores, neg_scores = self.model.group_item_scores_pair(
                 triplets[:, 0], triplets[:, 1], triplets[:, 2]
             )
@@ -506,41 +534,9 @@ class KGAGTrainer:
     def evaluate(self, interactions: InteractionTable, k: int = 5) -> dict[str, float]:
         """hit@k / rec@k of the current model on any split.
 
-        When ``tape_free_eval`` is on and the model config is inside the
-        serving engine's supported matrix, scoring runs through a
-        :class:`~repro.serve.engine.RankingEngine` over a zero-copy view
-        of the live weights — no autograd tape is built and member/item
-        receptive fields are shared across the whole catalog.  Otherwise
-        this falls back to the reference tape path under ``no_grad``.
+        Training positives are masked; see :func:`evaluate_model`.
         """
-        self.model.eval()
-        if self.tape_free_eval:
-            engine = self._ranking_engine()
-            if engine is not None:
-                return evaluate_group_recommender(
-                    None,
-                    interactions,
-                    k=k,
-                    train_interactions=self.group_train,
-                    index=engine,
-                )
-        with no_grad():
-            return evaluate_group_recommender(
-                lambda g, v: self.model.group_item_scores(g, v).numpy(),
-                interactions,
-                k=k,
-                train_interactions=self.group_train,
-            )
-
-    def _ranking_engine(self):
-        """A live-weights RankingEngine, or None when unsupported."""
-        # Imported lazily: training must not pull in the serving layer
-        # unless the tape-free path is actually taken.
-        from ..serve.engine import RankingEngine, engine_supports
-
-        if not engine_supports(self.model):
-            return None
-        return RankingEngine.from_model(self.model)
+        return evaluate_model(self.model, interactions, k, self.group_train)
 
     # ------------------------------------------------------------------
     def fit(

@@ -23,10 +23,8 @@ import argparse
 
 import numpy as np
 
-from ..core import KGAG, KGAGTrainer
+from ..core import KGAG, KGAGTrainer, evaluate_model
 from ..data import InteractionTable, split_interactions
-from ..eval import evaluate_group_recommender
-from ..nn import no_grad
 from .profiles import ExperimentProfile, get_profile
 from .reporting import format_table
 from .runner import build_dataset
@@ -82,13 +80,7 @@ def run(
                 config,
             )
             KGAGTrainer(model, split.train, observed, split.validation).fit()
-            with no_grad():
-                metrics = evaluate_group_recommender(
-                    lambda g, v: model.group_item_scores(g, v).numpy(),
-                    cold_test,
-                    k=profile.k,
-                    train_interactions=split.train,
-                )
+            metrics = evaluate_model(model, cold_test, profile.k, split.train)
             accumulator[variant].append(metrics)
             if progress is not None:
                 progress(variant, DATASET, seed, metrics)

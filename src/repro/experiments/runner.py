@@ -18,7 +18,7 @@ from ..baselines import (
     MatrixFactorization,
     MoSAN,
 )
-from ..core import KGAG, KGAGConfig, KGAGTrainer
+from ..core import KGAG, KGAGConfig, KGAGTrainer, evaluate_model
 from ..data import (
     GroupRecommendationDataset,
     Split,
@@ -26,8 +26,6 @@ from ..data import (
     split_interactions,
     yelp_like,
 )
-from ..eval import evaluate_group_recommender
-from ..nn import no_grad
 from .profiles import ExperimentProfile
 
 __all__ = [
@@ -116,13 +114,7 @@ def train_and_evaluate(
     model = build_model(model_name, dataset, config)
     trainer = KGAGTrainer(model, split.train, dataset.user_item, split.validation)
     trainer.fit()
-    with no_grad():
-        return evaluate_group_recommender(
-            lambda g, v: np.asarray(model.group_item_scores(g, v).numpy()),
-            split.test,
-            k=k,
-            train_interactions=split.train,
-        )
+    return evaluate_model(model, split.test, k, split.train)
 
 
 @dataclass

@@ -35,7 +35,6 @@ from .engine import (
     MicroBatcher,
     RankedItem,
     RankingEngine,
-    engine_supports,
 )
 from .fallback import CircuitBreaker, FallbackAnswer, ResilientScorer
 from .index import EmbeddingIndex, build_index
@@ -49,7 +48,6 @@ __all__ = [
     "CacheStats",
     "ScoreCache",
     "LiveModelIndex",
-    "engine_supports",
     "MicroBatcher",
     "RankedItem",
     "RankingEngine",

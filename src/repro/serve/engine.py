@@ -44,7 +44,6 @@ import numpy as np
 __all__ = [
     "RankedItem",
     "propagate",
-    "engine_supports",
     "LiveModelIndex",
     "RankingEngine",
     "MicroBatcher",
@@ -281,34 +280,6 @@ def _catalog_propagate(index, seed_rows: np.ndarray, queries: np.ndarray) -> np.
     return hidden[0]  # (M, S, Q, d)
 
 
-def engine_supports(model) -> bool:
-    """Whether the engine's numpy mirror covers ``model``'s config.
-
-    The engine reproduces the KGAG scoring matrix exactly: GCN or
-    GraphSage aggregation, attentive or uniform neighbor weights, any
-    propagation depth (including the ``use_kg`` off case), SP and/or PI
-    attention with concat or mean peer pooling.  Anything outside that —
-    a different model class, an unknown aggregator or pooling mode —
-    returns False so callers (the trainer's tape-free evaluation) can
-    fall back to the tape path.
-    """
-    config = getattr(model, "config", None)
-    if config is None:
-        return False
-    for attribute in ("propagation", "aggregation", "sampler", "ckg", "groups"):
-        if not hasattr(model, attribute):
-            return False
-    if getattr(config, "aggregator", None) not in ("gcn", "graphsage"):
-        return False
-    if getattr(model.aggregation, "pi_pooling", None) not in ("concat", "mean"):
-        return False
-    known = {"tanh", "relu", "sigmoid", "identity"}
-    for aggregator in model.propagation._aggregators:
-        if aggregator.activation not in known:
-            return False
-    return True
-
-
 # Source of LiveModelIndex versions: each view gets its own, so score
 # vectors cached under one view are never served for later weights.
 _LIVE_VERSIONS = itertools.count()
@@ -330,10 +301,11 @@ class LiveModelIndex:
     """
 
     def __init__(self, model, train_interactions=None):
-        if not engine_supports(model):
-            raise ValueError(
-                "model config is outside the engine's supported matrix "
-                "(check engine_supports(model) before building a live view)"
+        from ..core.model import KGAG  # deferred: serving stays light
+
+        if not isinstance(model, KGAG):
+            raise TypeError(
+                f"a live engine view needs a KGAG model, got {type(model).__name__}"
             )
         propagation = model.propagation
         aggregation = model.aggregation
@@ -431,9 +403,10 @@ class RankingEngine:
         """Engine over a **live** model: no copies, no ``.npz`` round-trip.
 
         Wraps ``model`` in a :class:`LiveModelIndex` — the constructor
-        the trainer's tape-free per-epoch validation and
+        :func:`~repro.core.trainer.evaluate_model` and
         :class:`~repro.core.predict.GroupRecommender` use.  Raises
-        ``ValueError`` when :func:`engine_supports` rejects the model.
+        ``TypeError`` for a model that is not a
+        :class:`~repro.core.model.KGAG`.
         """
         return cls(
             LiveModelIndex(model, train_interactions=train_interactions),

@@ -1,28 +1,35 @@
-"""Parity tests for the fused training/eval hot path.
+"""Parity tests for the KGAG training/eval hot path against its oracles.
 
-The fused paths are pure reorderings of the same math, so they must be
-indistinguishable from the reference paths:
+The trainer's KGAG step and evaluation are pure reorderings of the
+model's tape math, so they must be indistinguishable from the reference
+paths kept here as test-local oracles:
 
 * :meth:`KGAG.group_item_scores_pair` (one shared-receptive-field
   propagation for the positive and negative candidates) vs two
   :meth:`KGAG.group_item_scores` calls — scores within 1e-9 and
   parameter gradients equal to summation-order round-off;
-* a seeded :class:`TrainingHistory` with ``fused=True`` reproduces the
-  unfused losses;
-* tape-free validation (``tape_free_eval=True``, through the serving
-  engine over live weights) returns the same metrics and the same
-  top-K rankings as the tape path, across the supported config matrix;
+* a seeded :class:`TrainingHistory` reproduces the losses of a trainer
+  whose step makes two ``group_item_scores`` calls;
+* evaluation (through the serving engine over live weights) returns the
+  same metrics and the same top-K rankings as the tape scorer, across
+  the config matrix;
 * across that matrix, the engine's pair path equals the tape exactly,
   and its ``explain`` and catalog path agree to round-off;
+* a baseline model trains with the two-call step and evaluates on the
+  tape, without building an engine;
 * ``KGAGTrainer._gradient_norm`` equals the naive two-pass formula.
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines import AggregatedGroupRecommender, MatrixFactorization
 from repro.core import KGAG, KGAGConfig, KGAGTrainer
 from repro.core.trainer import combined_loss
 from repro.data import MovieLensLikeConfig, movielens_like, split_interactions
+from repro.eval import evaluate_group_recommender
+from repro.nn import Tensor, no_grad
+from repro.serve import RankingEngine
 
 from .conftest import build_model
 
@@ -34,6 +41,54 @@ def world():
     )
     split = split_interactions(dataset.group_item, rng=np.random.default_rng(0))
     return dataset, split
+
+
+def tape_metrics(model, interactions, train_interactions, k=5):
+    """The reference evaluation: rank every item through the model's tape."""
+    model.eval()
+    with no_grad():
+        return evaluate_group_recommender(
+            lambda g, v: model.group_item_scores(g, v).numpy(),
+            interactions,
+            k=k,
+            train_interactions=train_interactions,
+        )
+
+
+def cf_avg(dataset, config):
+    """The CF+AVG baseline of Table II: no pair step, no engine mirror."""
+    return AggregatedGroupRecommender(
+        MatrixFactorization(dataset.num_users, dataset.num_items, config),
+        dataset.groups,
+        "avg",
+    )
+
+
+class TwoCallTrainer(KGAGTrainer):
+    """The reference step: positives and negatives in two tape calls."""
+
+    def _forward_backward(self, batch):
+        self.optimizer.zero_grad()
+        triplets = batch.group_triplets
+        pos_scores = self.model.group_item_scores(triplets[:, 0], triplets[:, 1])
+        neg_scores = self.model.group_item_scores(triplets[:, 0], triplets[:, 2])
+        user_scores, user_labels = None, None
+        if len(batch.user_pairs):
+            user_scores = self.model.user_item_scores(
+                batch.user_pairs[:, 0], batch.user_pairs[:, 1]
+            )
+            user_labels = Tensor(batch.user_pairs[:, 2].astype(np.float64))
+        loss = combined_loss(
+            pos_scores,
+            neg_scores,
+            user_scores,
+            user_labels,
+            beta=self.config.beta,
+            loss_kind=self.config.loss,
+            margin=self.config.margin,
+        )
+        loss.backward()
+        return loss
 
 
 def make_batch(dataset, seed=0, size=32):
@@ -104,15 +159,15 @@ class TestFusedPairScoring:
             epochs=3, batch_size=64, patience=10, seed=0,
         )
 
-        def fit(fused):
+        def fit(trainer_class):
             model = build_model(dataset, config)
-            trainer = KGAGTrainer(
+            trainer = trainer_class(
                 model, split.train, dataset.user_item,
-                group_validation=split.validation, fused=fused,
+                group_validation=split.validation,
             )
             return trainer.fit()
 
-        fused, unfused = fit(True), fit(False)
+        fused, unfused = fit(KGAGTrainer), fit(TwoCallTrainer)
         np.testing.assert_allclose(fused.losses, unfused.losses, rtol=1e-7)
         assert fused.best_epoch == unfused.best_epoch
         for left, right in zip(fused.validation, unfused.validation):
@@ -147,20 +202,14 @@ class TestTapeFreeEvaluation:
             model, split.train, dataset.user_item, group_validation=split.validation
         )
         tape_free = trainer.evaluate(split.validation, k=5)
-        trainer.tape_free_eval = False
-        tape = trainer.evaluate(split.validation, k=5)
-        assert tape_free == tape
+        assert tape_free == tape_metrics(model, split.validation, split.train)
 
     def test_top_k_matches_tape_scores(self, world):
-        from repro.nn import no_grad
-
         dataset, split = world
         model = build_model(
             dataset, KGAGConfig(embedding_dim=8, num_layers=2, num_neighbors=3, seed=11)
         )
-        trainer = KGAGTrainer(model, split.train, dataset.user_item)
-        engine = trainer._ranking_engine()
-        assert engine is not None
+        engine = RankingEngine.from_model(model)
         group_ids = np.arange(dataset.groups.num_groups)
         engine_scores = engine.score_matrix(group_ids)
         with no_grad():
@@ -184,18 +233,16 @@ class TestTapeFreeEvaluation:
     )
     def test_engine_matches_tape_scores(self, world, override):
         # The tape is the oracle for every engine the program serves
-        # from: the trainer's live view and a frozen index.  The pair
+        # from: the live-weights view and a frozen index.  The pair
         # path equals it exactly, explain within 1e-12 (as in
         # tests/serve/test_engine_parity.py), and the catalog path to
         # round-off, with the same top-5.
-        from repro.nn import no_grad
-        from repro.serve import RankingEngine, build_index
+        from repro.serve import build_index
         from tests.serve.test_catalog_properties import assert_same_top5
 
         dataset, split = world
         base = dict(embedding_dim=8, num_layers=2, num_neighbors=3, seed=11)
         model = build_model(dataset, KGAGConfig(**{**base, **override}))
-        trainer = KGAGTrainer(model, split.train, dataset.user_item)
         group_ids = np.arange(dataset.groups.num_groups)
         items = np.arange(dataset.num_items)
         model.eval()
@@ -209,13 +256,20 @@ class TestTapeFreeEvaluation:
                 ]
             )
             tape_explain = model.explain(1, 2)
-        engines = [trainer._ranking_engine(), RankingEngine(build_index(model))]
+        engines = [RankingEngine.from_model(model), RankingEngine(build_index(model))]
         for engine in engines:
             pair_scores = engine.score_pairs(
                 np.repeat(group_ids, dataset.num_items),
                 np.tile(items, len(group_ids)),
             ).reshape(tape_scores.shape)
             np.testing.assert_array_equal(pair_scores, tape_scores)
+            # explain is a one-pair call, and propagated float sums
+            # depend on the batch shape: one-pair and batched scores
+            # differ in the last bit for some pairs, on the tape and the
+            # engine alike.  So the engine matches the tape call of the
+            # same shape, except under uniform weights: there it reads
+            # entity_final, propagated once over every entity, while the
+            # tape propagates the one pair alone.  Hence 1e-12 here.
             served = engine.explain(1, 2)
             assert served["members"] == tape_explain["members"]
             for key in ("attention", "sp", "pi"):
@@ -227,19 +281,42 @@ class TestTapeFreeEvaluation:
             np.testing.assert_allclose(engine_scores, tape_scores, atol=1e-9, rtol=0)
             assert_same_top5(engine_scores, tape_scores)
 
-    def test_unsupported_model_falls_back(self, world):
+    def test_unsupported_model_falls_back(self, world, monkeypatch):
+        # A baseline has no pair step and no engine mirror: fit() trains
+        # it with two group_item_scores calls and validates on the tape.
         dataset, split = world
-        model = build_model(
-            dataset, KGAGConfig(embedding_dim=8, num_layers=1, num_neighbors=3, seed=2)
+        model = cf_avg(
+            dataset,
+            KGAGConfig(embedding_dim=8, epochs=2, batch_size=64, patience=10, seed=2),
         )
-        trainer = KGAGTrainer(model, split.train, dataset.user_item)
-        # Break the support contract (on a field only the engine checks,
-        # so the tape path still works): the trainer must quietly fall
-        # back rather than crash.
-        object.__setattr__(model.config, "aggregator", "bogus")
-        assert trainer._ranking_engine() is None
-        metrics = trainer.evaluate(split.validation, k=5)
-        assert set(metrics) >= {"hit@5", "rec@5"}
+        engines = []
+        original_init = RankingEngine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            engines.append(self)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RankingEngine, "__init__", counting_init)
+        trainer = KGAGTrainer(
+            model, split.train, dataset.user_item, group_validation=split.validation
+        )
+        history = trainer.fit()
+        assert engines == []
+        assert history.num_epochs == 2
+        # fit() restored the best epoch's weights, so that epoch's
+        # validation record is the tape evaluation of the model as is.
+        best = history.validation[history.best_epoch]
+        assert best == tape_metrics(model, split.validation, split.train)
+        with pytest.raises(TypeError, match="AggregatedGroupRecommender"):
+            RankingEngine.from_model(model)
+
+    def test_baseline_compile_rejected(self, world):
+        # The compiled step scores through KGAG's pair plan; a baseline
+        # is refused when the trainer is built, not on its first step.
+        dataset, split = world
+        model = cf_avg(dataset, KGAGConfig(embedding_dim=8, seed=2))
+        with pytest.raises(ValueError, match="AggregatedGroupRecommender"):
+            KGAGTrainer(model, split.train, dataset.user_item, compile=True)
 
 
 class TestGradientNorm:

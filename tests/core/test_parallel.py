@@ -61,17 +61,16 @@ def params_of(trainer):
 
 class TestWorkersOneParity:
     @pytest.mark.parametrize(
-        "loss,fused,compile",
+        "loss,compile",
         [
-            ("margin", True, False),
-            ("margin", False, False),
-            ("margin", True, True),
-            ("bpr", True, False),
-            ("bpr", True, True),
+            ("margin", False),
+            ("margin", True),
+            ("bpr", False),
+            ("bpr", True),
         ],
     )
     def test_bit_exact_with_sequential_trainer(
-        self, small_dataset, small_split, loss, fused, compile
+        self, small_dataset, small_split, loss, compile
     ):
         config = KGAGConfig(
             embedding_dim=8,
@@ -84,13 +83,12 @@ class TestWorkersOneParity:
             seed=0,
         )
         sequential = make_trainer(
-            small_dataset, small_split, config, fused=fused, compile=compile
+            small_dataset, small_split, config, compile=compile
         )
         one_worker = make_trainer(
             small_dataset,
             small_split,
             config,
-            fused=fused,
             compile=compile,
             workers=1,
         )
