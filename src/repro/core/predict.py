@@ -142,28 +142,40 @@ class GroupRecommender:
         self, group_id: int, k: int = 5, exclude_seen: bool = True
     ) -> list[Recommendation]:
         """Top-k items for one group, best first."""
-        if k <= 0:
-            raise ValueError("k must be positive")
-        scores = self._scoring_engine().scores_for_group(int(group_id))
-        if exclude_seen:
-            seen = self._seen_items(group_id)
-            if len(seen):
-                scores = scores.copy()
-                scores[seen] = -np.inf
-        order = np.argsort(-scores, kind="stable")[:k]
-        return [
-            Recommendation(
-                item=int(item),
-                score=float(scores[item]),
-                probability=float(1.0 / (1.0 + np.exp(-scores[item]))),
-            )
-            for item in order
-            if np.isfinite(scores[item])
-        ]
+        return self._recommend(self._scoring_engine(), group_id, k, exclude_seen)
 
     def explain(self, group_id: int, item_id: int) -> Explanation:
         """Attention-based explanation for one candidate (Fig. 6)."""
-        raw = self._scoring_engine().explain(group_id, item_id)
+        return self._explain(self._scoring_engine(), group_id, item_id)
+
+    def recommend_with_explanations(
+        self, group_id: int, k: int = 5
+    ) -> list[tuple[Recommendation, Explanation]]:
+        """Top-k items each paired with its attention explanation.
+
+        One engine serves the ranking and every explanation, so a live
+        model is viewed (and, under uniform weights, propagated) once.
+        """
+        engine = self._scoring_engine()
+        return [
+            (rec, self._explain(engine, group_id, rec.item))
+            for rec in self._recommend(engine, group_id, k, exclude_seen=True)
+        ]
+
+    def _recommend(
+        self, engine, group_id: int, k: int, exclude_seen: bool
+    ) -> list[Recommendation]:
+        if k <= 0:
+            raise ValueError("k must be positive")
+        scores = engine.scores_for_group(int(group_id))
+        seen = self._seen_items(group_id) if exclude_seen else None
+        return [
+            Recommendation(item=r.item, score=r.score, probability=r.probability)
+            for r in engine.rank(scores, seen, k)
+        ]
+
+    def _explain(self, engine, group_id: int, item_id: int) -> Explanation:
+        raw = engine.explain(group_id, item_id)
         influences = [
             MemberInfluence(
                 user=int(user),
@@ -180,12 +192,3 @@ class GroupRecommender:
             probability=raw["probability"],
             influences=influences,
         )
-
-    def recommend_with_explanations(
-        self, group_id: int, k: int = 5
-    ) -> list[tuple[Recommendation, Explanation]]:
-        """Top-k items each paired with its attention explanation."""
-        return [
-            (rec, self.explain(group_id, rec.item))
-            for rec in self.recommend(group_id, k=k)
-        ]

@@ -66,7 +66,7 @@ def evaluate_model(
             interactions,
             k=k,
             train_interactions=train_interactions,
-            index=RankingEngine.from_model(model),
+            engine=RankingEngine.from_model(model),
         )
     with no_grad():
         return evaluate_group_recommender(

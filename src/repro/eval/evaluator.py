@@ -20,6 +20,12 @@ from .metrics import evaluate_rankings
 
 __all__ = ["GroupScorer", "score_all_items", "evaluate_group_recommender"]
 
+# Pairs per forward pass of every pair-scoring loop: the scorer calls
+# below and :meth:`~repro.serve.engine.RankingEngine.score_pairs` share
+# it, so the engine's pair path sees the tape's batch shapes (float sums
+# depend on the batch shape, so bit-exact parity needs equal shapes).
+PAIR_CHUNK = 4096
+
 
 class GroupScorer(Protocol):
     """Anything that scores aligned (group, item) id arrays."""
@@ -31,41 +37,35 @@ def score_all_items(
     scorer: GroupScorer,
     group_ids: np.ndarray,
     num_items: int,
-    chunk_size: int = 4096,
-    index=None,
+    engine=None,
 ) -> dict[int, np.ndarray]:
     """Score every item for every group, chunked to bound memory.
 
-    The ``(group, item)`` id pairs are generated per chunk (groups-major,
-    items-minor), so peak working memory is ``O(chunk_size)`` plus the
-    returned score matrix — the full cross-product index arrays are never
-    materialized.
+    The ``(group, item)`` id pairs are generated per chunk of
+    ``PAIR_CHUNK`` pairs (groups-major, items-minor), so peak working
+    memory is one chunk plus the returned score matrix — the full
+    cross-product index arrays are never materialized.
 
     Parameters
     ----------
-    index:
-        Optional prebuilt serving index — either a
-        :class:`~repro.serve.index.EmbeddingIndex` or a
-        :class:`~repro.serve.engine.RankingEngine`.  When given, scoring
-        runs the engine's full-catalog path
-        (:meth:`~repro.serve.engine.RankingEngine.score_matrix`) over the
-        frozen arrays instead of re-running the model per chunk
-        (``scorer`` is ignored): one item-major pass that propagates each
-        distinct member user once per chunk of ``max(1, chunk_size //
-        len(group_ids))`` items (``chunk_size`` applies when ``index`` is
-        an index, not a ready engine).  Scores then agree with the model
-        path to float round-off, not bit for bit.
+    engine:
+        Optional :class:`~repro.serve.engine.RankingEngine`.  When
+        given, scoring runs its full-catalog path
+        (:meth:`~repro.serve.engine.RankingEngine.score_matrix`) instead
+        of calling ``scorer`` per chunk (``scorer`` is ignored): one
+        item-major pass in byte-sized item chunks that propagates each
+        distinct member user once per chunk.  Scores then agree with the
+        model path to float round-off, not bit for bit.
 
     Returns ``{group_id: (num_items,) score vector}``.
     """
     group_ids = np.unique(np.asarray(group_ids, dtype=np.int64))
-    if index is not None:
-        engine = _as_engine(index, chunk_size)
+    if engine is not None:
         matrix = engine.score_matrix(group_ids)
         return {int(group): matrix[row] for row, group in enumerate(group_ids)}
     scores = np.empty(len(group_ids) * num_items, dtype=np.float64)
-    for start in range(0, len(scores), chunk_size):
-        stop = min(start + chunk_size, len(scores))
+    for start in range(0, len(scores), PAIR_CHUNK):
+        stop = min(start + PAIR_CHUNK, len(scores))
         flat = np.arange(start, stop, dtype=np.int64)
         scores[start:stop] = np.asarray(
             scorer(group_ids[flat // num_items], flat % num_items)
@@ -76,22 +76,12 @@ def score_all_items(
     }
 
 
-def _as_engine(index, chunk_size: int):
-    """Accept an EmbeddingIndex or a ready RankingEngine."""
-    if hasattr(index, "score_matrix"):
-        return index
-    from ..serve.engine import RankingEngine  # deferred: eval stays light
-
-    return RankingEngine(index, chunk_size=chunk_size)
-
-
 def evaluate_group_recommender(
     scorer: GroupScorer,
     test_interactions: InteractionTable,
     k: int = 5,
     train_interactions: InteractionTable | None = None,
-    chunk_size: int = 4096,
-    index=None,
+    engine=None,
     metrics=None,
 ) -> dict[str, float]:
     """hit@k / rec@k of a scorer on a test split.
@@ -106,9 +96,9 @@ def evaluate_group_recommender(
         If given, items the group already interacted with in training are
         masked to -inf before ranking (standard protocol: do not
         re-recommend known positives).
-    index:
-        Optional prebuilt serving index / engine; see
-        :func:`score_all_items`.
+    engine:
+        Optional :class:`~repro.serve.engine.RankingEngine` that ranks
+        the catalog in place of ``scorer``; see :func:`score_all_items`.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; maintains
         an ``eval/groups_scored_total`` counter and an
@@ -121,7 +111,7 @@ def evaluate_group_recommender(
     eval_start = time.perf_counter() if metrics.enabled else 0.0
     groups = np.unique(test_interactions.pairs[:, 0])
     scores_by_group = score_all_items(
-        scorer, groups, test_interactions.num_cols, chunk_size=chunk_size, index=index
+        scorer, groups, test_interactions.num_cols, engine=engine
     )
     if train_interactions is not None:
         for group in groups:

@@ -41,6 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..eval.evaluator import PAIR_CHUNK
+
 __all__ = [
     "RankedItem",
     "propagate",
@@ -48,6 +50,13 @@ __all__ = [
     "RankingEngine",
     "MicroBatcher",
 ]
+
+# Bytes one catalog tile may hold: ``score_matrix`` sizes its item
+# chunks so one chunk's propagation and member block stay near this.
+TILE_BYTES = 24 * 2**20
+# Fewest items per catalog chunk, so a member propagation is shared by
+# several candidates even when a single item overflows the budget.
+MIN_TILE_ITEMS = 8
 
 
 @dataclass(frozen=True)
@@ -376,30 +385,21 @@ class RankingEngine:
         Optional :class:`~repro.serve.cache.ScoreCache`; full per-group
         score vectors are cached under ``(group, index.version)`` so
         repeated requests for a group (any ``k``) skip the forward pass.
-    chunk_size:
-        Work bound per forward pass: :meth:`score_pairs` scores at most
-        ``chunk_size`` pairs at a time, and :meth:`score_matrix` walks
-        the catalog in item chunks of ``max(1, chunk_size // G)`` for
-        its G groups, so each tile scores about ``chunk_size`` pairs.
-        Served reads (``scores_for_group(s)``, ``top_k``) always score
-        one group per call, whatever ``chunk_size`` says.
+
+    Work per forward pass follows from the call, not from an option:
+    :meth:`score_pairs` scores ``PAIR_CHUNK`` pairs at a time, the
+    tape evaluator's chunking, and :meth:`score_matrix` sizes its item
+    chunks by bytes (``TILE_BYTES``, at least ``MIN_TILE_ITEMS``
+    items).  Served reads (``scores_for_group(s)``, ``top_k``) score
+    one group per call.
     """
 
-    def __init__(self, index, cache=None, chunk_size: int = 4096):
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
+    def __init__(self, index, cache=None):
         self.index = index
         self.cache = cache
-        self.chunk_size = int(chunk_size)
 
     @classmethod
-    def from_model(
-        cls,
-        model,
-        train_interactions=None,
-        cache=None,
-        chunk_size: int = 4096,
-    ) -> "RankingEngine":
+    def from_model(cls, model, train_interactions=None, cache=None) -> "RankingEngine":
         """Engine over a **live** model: no copies, no ``.npz`` round-trip.
 
         Wraps ``model`` in a :class:`LiveModelIndex` — the constructor
@@ -408,11 +408,8 @@ class RankingEngine:
         ``TypeError`` for a model that is not a
         :class:`~repro.core.model.KGAG`.
         """
-        return cls(
-            LiveModelIndex(model, train_interactions=train_interactions),
-            cache=cache,
-            chunk_size=chunk_size,
-        )
+        view = LiveModelIndex(model, train_interactions=train_interactions)
+        return cls(view, cache=cache)
 
     # -- core scoring ----------------------------------------------------
     # Every public entry point captures ``self.index`` ONCE and threads
@@ -429,8 +426,8 @@ class RankingEngine:
         if group_ids.shape != item_ids.shape or group_ids.ndim != 1:
             raise ValueError("group_ids and item_ids must be aligned 1-D arrays")
         scores = np.empty(len(group_ids), dtype=np.float64)
-        for start in range(0, len(group_ids), self.chunk_size):
-            stop = start + self.chunk_size
+        for start in range(0, len(group_ids), PAIR_CHUNK):
+            stop = start + PAIR_CHUNK
             scores[start:stop] = self._score_chunk(
                 index, group_ids[start:stop], item_ids[start:stop]
             )
@@ -618,11 +615,15 @@ class RankingEngine:
         on ``(member, candidate item)`` (Eq. 2), never on its group, so
         each distinct member user of the call is propagated once per
         item chunk and its vectors are shared by every group slot it
-        fills.  Items go in chunks of ``max(1, chunk_size // G)``, so
-        ``chunk_size`` bounds every tile (about ``G * chunk`` scored
-        pairs) whatever the catalog size.  A one-group call propagates
-        its members directly: ``GroupSet`` members are distinct, so
-        there is nothing to share.
+        fills.  Items go in chunks sized by bytes: each item of a chunk
+        costs ``((U + G) * F + G * S) * d`` floats, for the call's U
+        distinct member seeds and G item seeds, each propagating an
+        ``F = 1 + K + ... + K^H`` receptive field, plus the ``(G, S)``
+        member block.  A chunk holds ``TILE_BYTES`` worth of items, and
+        at least ``MIN_TILE_ITEMS``, so the working set stays bounded
+        whatever the catalog size.  A one-group call propagates its
+        members directly: ``GroupSet`` members are distinct, so there is
+        nothing to share.
         """
         return self._score_matrix(self.index, group_ids)
 
@@ -656,7 +657,10 @@ class RankingEngine:
             seeds, slots = users.reshape(1, -1), slots.reshape(groups, size)
         mixing = None  # PI block matrix, built once per call (see below)
 
-        width = max(1, self.chunk_size // groups)
+        distinct = 0 if table is not None else seeds.size  # U: propagated seeds
+        field = sum(index.num_neighbors**hop for hop in range(index.num_layers + 1))
+        item_bytes = ((distinct + groups) * field + groups * size) * dim * 8
+        width = max(MIN_TILE_ITEMS, TILE_BYTES // item_bytes)
         for start in range(0, num_items, width):
             items = index.item_entities[start : start + width]
             chunk = len(items)

@@ -26,12 +26,16 @@ class TestScoreAllItems:
         assert set(scores) == {0, 2}
         assert all(len(v) == 7 for v in scores.values())
 
-    def test_chunking_matches_unchunked(self):
+    def test_chunking_matches_unchunked(self, monkeypatch):
+        import repro.eval.evaluator as evaluator
+
         table = InteractionTable(4, 10, [(0, 1), (1, 2), (3, 9)])
         scorer = oracle_scorer(table)
         groups = np.array([0, 1, 3])
-        small = score_all_items(scorer, groups, 10, chunk_size=4)
-        large = score_all_items(scorer, groups, 10, chunk_size=10_000)
+        monkeypatch.setattr(evaluator, "PAIR_CHUNK", 4)
+        small = score_all_items(scorer, groups, 10)
+        monkeypatch.setattr(evaluator, "PAIR_CHUNK", 10_000)
+        large = score_all_items(scorer, groups, 10)
         for group in (0, 1, 3):
             np.testing.assert_allclose(small[group], large[group])
 
@@ -74,7 +78,9 @@ class TestScoreAllItems:
         tape = np.stack([direct[int(group)] for group in groups])
         np.testing.assert_array_equal(tape, pairs)
         # ...and the full-catalog path agrees with it to round-off.
-        indexed = score_all_items(None, groups, dataset.num_items, index=index)
+        indexed = score_all_items(
+            None, groups, dataset.num_items, engine=RankingEngine(index)
+        )
         catalog = np.stack([indexed[int(group)] for group in groups])
         np.testing.assert_allclose(catalog, pairs, atol=1e-9, rtol=0)
         assert_same_top5(catalog, pairs)

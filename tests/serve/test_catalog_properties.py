@@ -9,15 +9,21 @@ checks that
 :meth:`RankingEngine.score_matrix` (shared receptive fields, either
 layer-0 order, one- or multi-group blocks) equals
 :meth:`RankingEngine.score_pairs` over the explicit cross product, with
-the same stable top-5.  Top-5 lists may differ only by swapping items
-whose scores tie to round-off: items with mirror-image receptive fields
-score equal in exact arithmetic, and the two paths break such ties by
-different last-bit noise (pinned below).
+the same stable top-5.  The catalog tile budget is patched down so that
+calls split into many item chunks, down to one item each.  Top-5 lists
+may differ only by swapping items whose scores tie to round-off: items
+with mirror-image receptive fields score equal in exact arithmetic, and
+the two paths break such ties by different last-bit noise (pinned
+below).
 """
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.serve.engine as engine_module
 from repro.core import KGAG, KGAGConfig
 from repro.data.groups import GroupSet
 from repro.kg.graph import KnowledgeGraph
@@ -79,12 +85,19 @@ def assert_same_top5(matrix, pair_scores):
     )
 
 
-def catalog_and_pair_scores(world, config, chunk_size):
+def tiny_tiles(tile_bytes):
+    """Patch the catalog tile budget down to ``tile_bytes``, with a
+    one-item floor."""
+    return mock.patch.multiple(engine_module, TILE_BYTES=tile_bytes, MIN_TILE_ITEMS=1)
+
+
+def catalog_and_pair_scores(world, config, tile_bytes):
     kg, num_users, num_items, groups, pairs = world
     model = KGAG(kg, num_users, num_items, pairs.reshape(-1, 2), groups, config)
-    engine = RankingEngine.from_model(model, chunk_size=chunk_size)
+    engine = RankingEngine.from_model(model)
     group_ids = np.arange(groups.num_groups)
-    matrix = engine.score_matrix(group_ids)
+    with tiny_tiles(tile_bytes):
+        matrix = engine.score_matrix(group_ids)
     pair_scores = engine.score_pairs(
         np.repeat(group_ids, num_items), np.tile(np.arange(num_items), len(group_ids))
     ).reshape(len(group_ids), num_items)
@@ -99,9 +112,9 @@ def catalog_and_pair_scores(world, config, chunk_size):
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(world=worlds(), config=configs, chunk_size=st.integers(1, 40))
-def test_score_matrix_matches_pair_path(world, config, chunk_size):
-    matrix, pair_scores = catalog_and_pair_scores(world, config, chunk_size)
+@given(world=worlds(), config=configs, tile_bytes=st.integers(0, 2**14))
+def test_score_matrix_matches_pair_path(world, config, tile_bytes):
+    matrix, pair_scores = catalog_and_pair_scores(world, config, tile_bytes)
     np.testing.assert_allclose(matrix, pair_scores, atol=1e-9, rtol=0)
     assert_same_top5(matrix, pair_scores)
 
@@ -110,15 +123,18 @@ def test_mirror_items_tie_up_to_round_off():
     # Found by the property above: items 0 and 2 are each other's only
     # KG neighbor and the members are isolated, so the two items score
     # equal in exact arithmetic.  The pair path scores them in chunks
-    # of different shapes and lands 2e-19 apart; stable top-5 then
-    # breaks the tie differently from the catalog path.
+    # of different shapes (two pairs, then one) and lands 2e-19 apart;
+    # stable top-5 then breaks the tie differently from the catalog
+    # path, which here also splits the catalog after two items
+    # (((2 + 1) * 2 + 2) * 2 * 8 = 128 bytes per item).
     kg = KnowledgeGraph(3, 1, [(0, 0, 2)])
     groups = GroupSet([[0, 1]], num_users=2)
     config = KGAGConfig(
         embedding_dim=2, num_layers=1, num_neighbors=1, use_sp=False, use_pi=False, seed=72
     )
     world = (kg, 2, 3, groups, np.zeros((0, 2), dtype=np.int64))
-    matrix, pair_scores = catalog_and_pair_scores(world, config, chunk_size=2)
+    with mock.patch.object(engine_module, "PAIR_CHUNK", 2):
+        matrix, pair_scores = catalog_and_pair_scores(world, config, tile_bytes=256)
     np.testing.assert_allclose(matrix, pair_scores, atol=1e-9, rtol=0)
     assert abs(pair_scores[0, 0] - pair_scores[0, 2]) < 1e-15
     assert_same_top5(matrix, pair_scores)
@@ -144,35 +160,40 @@ def crowded_worlds(draw):
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(world=crowded_worlds(), config=configs, chunk_size=st.integers(1, 40))
-def test_shared_member_matrix_matches_pairs_and_single_groups(world, config, chunk_size):
+@given(world=crowded_worlds(), config=configs, tile_bytes=st.integers(0, 2**14))
+def test_shared_member_matrix_matches_pairs_and_single_groups(world, config, tile_bytes):
     # Item-major scoring propagates each distinct user once per item
     # chunk and gathers its vectors into every group slot it fills;
-    # chunk_size 1-40 covers chunks of one item and calls with more
-    # groups than chunk_size.
-    matrix, pair_scores = catalog_and_pair_scores(world, config, chunk_size)
+    # budgets of 0-16 KiB cover chunks of one item, chunks of several
+    # and the whole catalog in one chunk.
+    matrix, pair_scores = catalog_and_pair_scores(world, config, tile_bytes)
     np.testing.assert_allclose(matrix, pair_scores, atol=1e-9, rtol=0)
     assert_same_top5(matrix, pair_scores)
 
     kg, num_users, num_items, groups, pairs = world
     model = KGAG(kg, num_users, num_items, pairs.reshape(-1, 2), groups, config)
-    engine = RankingEngine.from_model(model, chunk_size=chunk_size)
-    single = np.vstack(
-        [engine.score_matrix([group]) for group in range(groups.num_groups)]
-    )
+    engine = RankingEngine.from_model(model)
+    with tiny_tiles(tile_bytes):
+        single = np.vstack(
+            [engine.score_matrix([group]) for group in range(groups.num_groups)]
+        )
     np.testing.assert_allclose(matrix, single, atol=1e-9, rtol=0)
     assert_same_top5(matrix, single)
 
 
 def test_each_distinct_member_propagates_once_per_item_chunk(monkeypatch):
-    import repro.serve.engine as engine_module
-
     kg = KnowledgeGraph(9, 2, [(0, 0, 1), (1, 1, 2), (3, 0, 7), (5, 1, 6), (8, 0, 4)])
     members = np.array([[0, 1, 2], [1, 2, 3], [0, 3, 4], [2, 4, 0], [1, 2, 3]])
     groups = GroupSet(members, num_users=6)  # user 5 is in no group
     config = KGAGConfig(embedding_dim=4, num_layers=2, num_neighbors=2, seed=3)
     model = KGAG(kg, 6, 7, np.array([[0, 1], [3, 4], [4, 6]]), groups, config)
-    engine = RankingEngine.from_model(model, chunk_size=10)  # chunks of 10 // 5 = 2 items
+    engine = RankingEngine.from_model(model)
+    # F = 1 + 2 + 4 = 7 and d = 4: the five groups (five distinct
+    # users) cost ((5 + 5) * 7 + 5 * 3) * 32 = 2720 bytes per item, so
+    # 7000 bytes make chunks of 2 items; group 1 alone costs
+    # ((3 + 1) * 7 + 3) * 32 = 992, so its 7 items fit in one chunk.
+    monkeypatch.setattr(engine_module, "TILE_BYTES", 7000)
+    monkeypatch.setattr(engine_module, "MIN_TILE_ITEMS", 1)
     offset = engine.index.user_entity_offset
 
     member_seeds, item_seeds = [], []
@@ -193,3 +214,58 @@ def test_each_distinct_member_propagates_once_per_item_chunk(monkeypatch):
     engine.score_matrix([1])  # one group: its own (distinct) members, as given
     assert len(member_seeds) == 1
     np.testing.assert_array_equal(member_seeds[0].reshape(-1), offset + members[1])
+
+
+def width_rule_world(num_groups):
+    """Serve-world shapes at the default config (d=16, H=2, K=4): a
+    200-item catalog, 40 users in ``num_groups`` groups of 8."""
+    rng = np.random.default_rng(0)
+    num_items, num_attributes = 200, 60
+    triples = zip(
+        rng.integers(0, num_items + num_attributes, 600),
+        rng.integers(0, 4, 600),
+        rng.integers(0, num_items + num_attributes, 600),
+    )
+    kg = KnowledgeGraph(num_items + num_attributes, 4, list(triples))
+    members = np.stack([rng.choice(40, 8, replace=False) for _ in range(num_groups)])
+    pairs = np.stack([rng.integers(0, 40, 100), rng.integers(0, num_items, 100)], 1)
+    groups = GroupSet(members, num_users=40)
+    return KGAG(kg, 40, num_items, pairs, groups, KGAGConfig(seed=0))
+
+
+def test_tile_width_follows_the_call(monkeypatch):
+    chunks = []  # items per catalog chunk, from the item-side propagations
+    inner = engine_module._catalog_propagate
+
+    def counting(index, seed_rows, queries):
+        if seed_rows.max() < index.user_entity_offset:
+            chunks.append(len(seed_rows))
+        return inner(index, seed_rows, queries)
+
+    monkeypatch.setattr(engine_module, "_catalog_propagate", counting)
+
+    # A served miss: one group over the whole catalog is one chunk.
+    engine = RankingEngine.from_model(width_rule_world(num_groups=1))
+    engine.score_matrix([0])
+    assert chunks == [200]
+
+    # Thirty groups over forty users split the catalog, and each chunk's
+    # temporaries stay inside the budget (the output matrix aside).
+    engine = RankingEngine.from_model(width_rule_world(num_groups=30))
+    chunks.clear()
+    tracemalloc.start()
+    try:
+        matrix = engine.score_matrix(np.arange(30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chunks) > 1 and sum(chunks) == 200
+    assert peak - matrix.nbytes <= engine_module.TILE_BYTES
+
+    # A budget no item fits in leaves every chunk at the floor.
+    monkeypatch.setattr(engine_module, "TILE_BYTES", 1)
+    chunks.clear()
+    engine.score_matrix(np.arange(30))
+    floor = engine_module.MIN_TILE_ITEMS
+    assert chunks[:-1] == [floor] * (len(chunks) - 1) and chunks[-1] <= floor
+    assert sum(chunks) == 200

@@ -77,6 +77,30 @@ class TestParity:
             assert [(r.item, r.score) for r in indexed.recommend(group, k=6)] == expected
             assert [(r.item, r.score) for r in modelless.recommend(group, k=6)] == expected
 
+    def test_recommend_with_explanations_builds_one_view(
+        self, model, split, monkeypatch
+    ):
+        import repro.serve.engine as engine_module
+
+        views = []
+
+        class CountingView(engine_module.LiveModelIndex):
+            def __init__(self, *args, **kwargs):
+                views.append(self)
+                super().__init__(*args, **kwargs)
+
+        recommender = GroupRecommender(model, split.train)
+        expected = [
+            (rec.item, rec.score, recommender.explain(1, rec.item).influences)
+            for rec in recommender.recommend(1, k=3)
+        ]
+        monkeypatch.setattr(engine_module, "LiveModelIndex", CountingView)
+        explained = recommender.recommend_with_explanations(1, k=3)
+        assert len(views) == 1
+        assert [
+            (rec.item, rec.score, why.influences) for rec, why in explained
+        ] == expected
+
     def test_recommender_requires_model_or_index(self):
         with pytest.raises(ValueError):
             GroupRecommender(None)
