@@ -8,9 +8,8 @@ workers:
   weights with **zero copies** — the parent's in-place optimizer updates
   are immediately visible through the shared mapping.
 * Each worker owns a fixed row shard of the training tables (rows
-  ``w::N``) and runs the trainer's own fused forward/backward — through
-  the compiled executor when the trainer was built with
-  ``compile=True`` — on the data loss of Eq. 20.
+  ``w::N``) and runs the trainer's own step — the compiled executor
+  for a KGAG — on the data loss of Eq. 20.
 * Workers ship their gradients as the optimizer's update payloads
   (:func:`~repro.nn.optim.extract_gradients`): for embedding tables,
   the ``(row-index, value)`` pairs of the rows the batch touched.
@@ -55,6 +54,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..data.loader import MixedBatchLoader
+from ..nn.compile import Arena
 from ..nn.optim import extract_gradients
 from ..nn.tensor import _index_add, no_grad
 from ..rng import generator_state
@@ -294,6 +294,7 @@ def _worker_main(worker_id: int, workers: int, connection, trainer) -> None:
     """
     try:
         trainer._programs = {}
+        trainer._arena = Arena()
         trainer.model.train()
         loader = _build_shard_loader(trainer, worker_id, workers)
         parameters = list(trainer.model.parameters())

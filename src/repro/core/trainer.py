@@ -28,6 +28,7 @@ from ..data.interactions import InteractionTable
 from ..data.loader import MixedBatchLoader
 from ..eval.evaluator import evaluate_group_recommender
 from ..nn import Adam, Tensor, clip_grad_norm, grad_l2_norm, no_grad, tape_hooks_active
+from ..nn.compile import Arena, TraceError, trace_step
 from ..obs.metrics import NULL_REGISTRY
 from .losses import combined_loss
 from .model import KGAG, TrainStepPlan
@@ -99,11 +100,11 @@ class KGAGTrainer:
     ----------
     model:
         The model (its config supplies all hyper-parameters).  A
-        :class:`KGAG` scores each step's positives and negatives in one
-        pass (:meth:`~repro.core.model.KGAG.group_item_scores_pair`) and
-        evaluates through the serving engine (:func:`evaluate_model`).
-        The Table II baselines (CF+/KGCN+ aggregation, MoSAN) take two
-        ``group_item_scores`` calls per step and evaluate on the tape.
+        :class:`KGAG` trains through the compiled executor
+        (:mod:`repro.nn.compile`, see below) and evaluates through the
+        serving engine (:func:`evaluate_model`).  The Table II baselines
+        (CF+/KGCN+ aggregation, MoSAN) take two ``group_item_scores``
+        tape calls per step and evaluate on the tape.
     group_train:
         Group-item training positives.
     user_train:
@@ -137,23 +138,6 @@ class KGAGTrainer:
     diagnostics:
         Optional :class:`~repro.core.diagnostics.DiagnosticsRecorder`
         bound to ``model``; ``fit()`` records one snapshot per epoch.
-    compile:
-        Execute train steps through the compiled tape executor
-        (:mod:`repro.nn.compile`).  The first step of each shape
-        signature ``(group_triplets, user_pairs)`` is traced through the
-        tape-hook registry and specialized into a flat replayable
-        program; later steps of the same signature replay it.  The first
-        replay of every program is verified gradient-for-gradient
-        (``np.array_equal``) against the dynamic tape before its result
-        is trusted; compiled training is bit-exact with ``compile=False``.
-        Fallback to the dynamic tape is automatic — on a new shape
-        signature (a fresh trace), on installed tape hooks (sanitizer /
-        profiler, including ``sanitize=True``), and on any op outside
-        the compiled set — and is observable via the ``compile/traces``,
-        ``compile/replays`` and ``compile/fallbacks`` counters plus the
-        :attr:`compile_stats` dict.  The compiled path scores through
-        the pair plan, so it needs a :class:`KGAG`: a baseline model
-        raises ``ValueError``.  Off by default.
     workers:
         Number of data-parallel training processes
         (:mod:`repro.core.parallel`).  ``workers=1`` (the default) is the
@@ -167,6 +151,24 @@ class KGAGTrainer:
         the sequential one (fewer steps, on gradients averaged over N
         batches).  Call :meth:`close` (or use the trainer as a context
         manager) to stop the workers and release the shared segments.
+
+    A :class:`KGAG` step runs through :mod:`repro.nn.compile`: the first
+    step of each shape signature ``(group_triplets, user_pairs)`` is
+    traced from the step plan
+    (:meth:`~repro.core.model.KGAG.train_step_plan`) into a flat
+    replayable program, and later steps of that signature replay it
+    without the tape.  The first replay of every program is checked
+    gradient for gradient (``np.array_equal``) against the dynamic tape
+    before its result is trusted, so training is bit-exact with the
+    tape.  The step falls back to the dynamic tape when tape hooks are
+    installed (sanitizer, profiler, ``sanitize=True``), when a trace
+    fails (an op outside the compiled set), and when a first replay is
+    not bit-exact.  The counts are in :attr:`compile_stats` and the
+    ``compile/traces``, ``compile/replays`` and ``compile/fallbacks``
+    counters.  All programs of one trainer carve their buffers from one
+    shared :class:`~repro.nn.compile.Arena`, sized to the largest: an
+    epoch's first batch is full, so its program is traced before the
+    partial last batch's.
     """
 
     def __init__(
@@ -179,15 +181,10 @@ class KGAGTrainer:
         metrics=None,
         run_log=None,
         diagnostics=None,
-        compile: bool = False,
         workers: int = 1,
     ):
         if int(workers) < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if compile and not isinstance(model, KGAG):
-            raise ValueError(
-                f"compile=True needs a KGAG model, got {type(model).__name__}"
-            )
         self.model = model
         self.config = model.config
         self.group_train = group_train
@@ -211,12 +208,12 @@ class KGAGTrainer:
         self._best_state: dict | None = None
         self._patience_left = self.config.patience
         self.sanitize = sanitize
-        self.compile = bool(compile)
         self.workers = int(workers)
         self._pool = None
         self._restored_worker_states: list | None = None
         self.compile_stats = {"traces": 0, "replays": 0, "fallbacks": 0}
         self._programs: dict[tuple[int, int], object] = {}
+        self._arena = Arena()
         self.untouched_parameters: list[str] = []
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.run_log = run_log
@@ -294,18 +291,17 @@ class KGAGTrainer:
         return grad_l2_norm(self.model.parameters())
 
     def _forward_backward(self, batch):
-        """Compute the data loss for one batch and run backward."""
-        if self.compile:
-            return self._forward_backward_compiled(batch)
+        """Compute the data loss for one batch and run backward.
+
+        A :class:`KGAG` steps through the compiled executor; a baseline
+        scores positives and negatives with two tape calls.
+        """
         self.optimizer.zero_grad()
-        triplets = batch.group_triplets
         if isinstance(self.model, KGAG):
-            pos_scores, neg_scores = self.model.group_item_scores_pair(
-                triplets[:, 0], triplets[:, 1], triplets[:, 2]
-            )
-        else:
-            pos_scores = self.model.group_item_scores(triplets[:, 0], triplets[:, 1])
-            neg_scores = self.model.group_item_scores(triplets[:, 0], triplets[:, 2])
+            return self._forward_backward_compiled(batch)
+        triplets = batch.group_triplets
+        pos_scores = self.model.group_item_scores(triplets[:, 0], triplets[:, 1])
+        neg_scores = self.model.group_item_scores(triplets[:, 0], triplets[:, 2])
         if len(batch.user_pairs):
             user_scores = self.model.user_item_scores(
                 batch.user_pairs[:, 0], batch.user_pairs[:, 1]
@@ -326,7 +322,7 @@ class KGAGTrainer:
         return loss
 
     # ------------------------------------------------------------------
-    # compiled train path (repro.nn.compile)
+    # KGAG step: compiled executor (repro.nn.compile)
     # ------------------------------------------------------------------
     def _planned_loss(self, plan: TrainStepPlan) -> Tensor:
         """Data loss over a precomputed plan (no backward)."""
@@ -363,10 +359,9 @@ class KGAGTrainer:
         whose gradients do not reproduce the dynamic tape bit for bit.
         A *new* shape signature is not a fallback: it traces a fresh
         program and that step trains on the dynamic tape it just traced.
+        A trace that grows the shared arena drops the programs bound to
+        the old block; their signatures trace again when they recur.
         """
-        from ..nn.compile import TraceError, trace_step
-
-        self.optimizer.zero_grad()
         triplets = batch.group_triplets
         plan = self.model.train_step_plan(
             triplets[:, 0],
@@ -382,8 +377,13 @@ class KGAGTrainer:
         slots = plan.slot_arrays()
         if program is None:
             program, loss, failure = trace_step(
-                lambda: self._planned_loss(plan), slots
+                lambda: self._planned_loss(plan), slots, self._arena
             )
+            self._programs = {
+                sig: kept
+                for sig, kept in self._programs.items()
+                if kept is _COMPILE_FAILED or kept.arena_base is self._arena.base
+            }
             if program is None:
                 self._programs[signature] = _COMPILE_FAILED
                 self._count_fallback()
@@ -420,8 +420,6 @@ class KGAGTrainer:
         the program is trusted for plain replays; on any mismatch the
         dynamic results are restored and the signature is marked failed.
         """
-        from ..nn.compile import TraceError
-
         loss = self._dynamic_step_from_plan(plan)
         parameters = list(self.model.parameters())
         expected = [None if p.grad is None else p.grad.copy() for p in parameters]

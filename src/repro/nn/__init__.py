@@ -11,8 +11,9 @@ the equivalent differentiable-programming toolkit from scratch:
 * :mod:`repro.nn.losses` — BCE (Eq. 18), BPR, and the paper's
   sigmoid-margin pairwise loss (Eq. 17),
 * :mod:`repro.nn.gradcheck` — finite-difference validation helpers,
-* :mod:`repro.nn.compile` — trace-once/replay-many compiled train steps
-  (bit-exact with the dynamic tape; see ``docs/compilation.md``).
+* :mod:`repro.nn.compile` — trace-once/replay-many compiled train steps,
+  the executor of every KGAG train step (bit-exact with the dynamic
+  tape; see ``docs/compilation.md``).
 """
 
 from .tensor import (

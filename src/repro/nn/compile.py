@@ -21,14 +21,16 @@ This module removes the interpreter:
   would produce).  Batch-dependent index arrays are bound by object
   identity against the *slots* the caller passes (see
   ``TrainStepPlan.slot_arrays``); everything else is baked in as a
-  constant.  Kernels reuse preallocated output and gradient-edge
-  buffers and keep the donation / segment-sum scatter semantics of the
-  dynamic tape, so replayed values and gradients are bit-exact
-  (``np.array_equal``) with what ``loss.backward()`` computes.
+  constant.  Kernels write into views of one :class:`Arena` block,
+  which every program traced against it shares, and keep the donation
+  / segment-sum scatter semantics of the dynamic tape, so replayed
+  values and gradients are bit-exact (``np.array_equal``) with what
+  ``loss.backward()`` computes.
 * **Replay** — :meth:`CompiledProgram.replay` takes a fresh list of slot
   arrays (a new batch of the same signature), runs the flat program,
   assigns ``parameter.grad`` for every trainable leaf, and returns the
-  loss value.
+  loss value.  Between replays a program keeps only its constants and
+  its arena views: the forward values are dropped on return.
 
 Any op outside the supported set, a closure that captured
 batch-dependent state the slots cannot rebind (``masked_softmax``'s
@@ -54,6 +56,7 @@ from .tensor import (
 )
 
 __all__ = [
+    "Arena",
     "TraceError",
     "CompiledProgram",
     "trace_step",
@@ -151,6 +154,32 @@ def _round_up(nbytes: int, granule: int = 64) -> int:
 _END = 1 << 60
 
 
+class Arena:
+    """The one byte block that every program traced against it shares.
+
+    Each program's kernel buffers are views at fixed offsets from the
+    block's start, so programs that never replay at the same time (the
+    per-signature programs of one trainer) need only as many bytes as
+    the largest of them.  :meth:`reserve` replaces the block when a new
+    program needs more: programs bound earlier keep views of the old
+    block, so the caller drops them (:attr:`CompiledProgram.arena_base`
+    is no longer :attr:`base`) and traces them again when needed.
+    """
+
+    def __init__(self) -> None:
+        self.base: np.ndarray | None = None
+
+    def reserve(self, nbytes: int) -> np.ndarray:
+        """The block, replaced by a larger one if it holds < ``nbytes``."""
+        if self.base is None or self.base.size < nbytes:
+            # A float64 base guarantees 8-byte alignment for every view
+            # (offsets are multiples of 64).
+            self.base = np.empty(
+                max(_round_up(nbytes), 64) // 8, np.float64
+            ).view(np.uint8)
+        return self.base
+
+
 class _BuildCtx:
     """Build-time services for the op builders.
 
@@ -213,13 +242,14 @@ class _BuildCtx:
         self._next += 1
         return self._base[offset : offset + nbytes].view(dtype).reshape(shape)
 
-    def bind_arena(self, intervals: list[tuple[int, int]]) -> None:
+    def bind_arena(self, intervals: list[tuple[int, int]], arena: Arena) -> None:
         """Assign arena regions from the requests' live intervals.
 
         ``intervals[i]`` is the (birth, death) of ``requests[i]`` on
         the replay timeline.  Regions are reused across requests of the
         same rounded size whose intervals are disjoint: a region freed
-        at ``death`` is available to births strictly after it.
+        at ``death`` is available to births strictly after it.  The
+        views are carved from ``arena``'s block, grown to fit first.
         """
         order = sorted(
             range(len(self.requests)), key=lambda i: (intervals[i][0], i)
@@ -244,11 +274,7 @@ class _BuildCtx:
                 cursor += size
                 bucket.append([cursor - size, death])
         self._offsets = offsets
-        # A float64 base guarantees 8-byte alignment for every view
-        # (offsets are multiples of 64).
-        self._base = np.empty(
-            max(_round_up(cursor), 64) // 8, np.float64
-        ).view(np.uint8)
+        self._base = arena.reserve(cursor)
         self.arena_nbytes = cursor
         self.requested_nbytes = requested
         self._next = 0
@@ -627,7 +653,8 @@ def _b_getitem(b, n):
         and key.dtype.kind in "iu"
         and len(psh) >= 1
     )
-    zeros_holder: list = [None]  # lazily allocated persistent scatter buffer
+    if key_slot is not None:
+        key = None  # the traced batch's array; replays read the slot
 
     if take:
         # Deliberately *not* arena-backed: ``np.take`` with ``out=`` and
@@ -637,6 +664,11 @@ def _b_getitem(b, n):
 
         def fwd(vals, slots):
             vals[ov] = np.take(vals[pv], slots[key_slot], axis=0)
+
+    elif key_slot is not None:
+
+        def fwd(vals, slots):
+            vals[ov] = vals[pv][slots[key_slot]]
 
     else:
 
@@ -656,12 +688,9 @@ def _b_getitem(b, n):
         ):
             _index_add(cur, k, g)
             return
-        full = zeros_holder[0]
-        if full is None:
-            full = np.zeros(psh, pdt)
-            zeros_holder[0] = full
-        else:
-            full.fill(0.0)
+        # A fresh table-sized buffer per replay, as on the tape: it
+        # becomes the parent's gradient, so a program keeps none.
+        full = np.zeros(psh, pdt)
         _index_add(full, k, g)
         _acc_excl(grads, pv, full, pdt)
 
@@ -1071,6 +1100,8 @@ def _b_row_gather(b, n):
     col_slot = b.slot_for(cols)
     row_offsets = np.arange(batch, dtype=np.int64)[:, None] * width
     cellbuf = b.empty(cols.shape, np.int64, role="bscratch")
+    if col_slot is not None:
+        cols = None  # the traced batch's array; replays read the slot
 
     def fwd(vals, slots):
         k = slots[col_slot] if col_slot is not None else cols
@@ -1309,6 +1340,12 @@ class CompiledProgram:
     passed to :meth:`replay` must match the traced shapes/dtypes slot
     for slot, or :class:`TraceError` is raised (callers treat that as a
     fallback trigger, not an error).
+
+    Between replays a program holds only its baked constants and its
+    views of the shared :class:`Arena` block (:attr:`arena_base`):
+    forward values and gradient edges live in per-replay lists, and
+    every buffer that becomes a parameter's gradient outside the arena
+    is allocated per replay, as on the tape.
     """
 
     def __init__(
@@ -1323,11 +1360,12 @@ class CompiledProgram:
         root_vid: int,
         root_shape: tuple,
         root_dtype,
+        arena_base: np.ndarray,
         arena_nbytes: int = 0,
         requested_nbytes: int = 0,
     ):
-        self._vals: list = [None] * num_values
-        self._grads: list = [None] * num_values
+        #: The per-replay value list's starting point: constants only.
+        self._template: list = [None] * num_values
         self._forward = forward
         self._fire = fire
         self._slot_leaves = slot_leaves
@@ -1337,8 +1375,10 @@ class CompiledProgram:
         self._root_shape = root_shape
         self._root_dtype = root_dtype
         for vid, array in const_leaves:
-            self._vals[vid] = array
-        #: Bytes of the pooled kernel-buffer arena, and the bytes the
+            self._template[vid] = array
+        #: The :class:`Arena` block this program's buffers are views of.
+        self.arena_base = arena_base
+        #: Bytes of the arena this program uses, and the bytes the
         #: kernels requested before liveness pooling collapsed disjoint
         #: intervals onto shared regions.
         self.arena_nbytes = arena_nbytes
@@ -1384,14 +1424,16 @@ class CompiledProgram:
         ``loss.backward()`` on the dynamic tape would produce, bit for
         bit) and returns the loss value.  Must not run while tape hooks
         are installed — the kernels bake in the pristine donation
-        fast paths that hooks disable.
+        fast paths that hooks disable — nor while another program of
+        the same arena replays.  The forward values are dropped on
+        return.
         """
         if tape_hooks_active():
             raise TraceError("cannot replay while tape hooks are installed")
         self.check_slots(slot_arrays)
         slots = list(slot_arrays)
-        vals = self._vals
-        grads = self._grads
+        vals = self._template.copy()
+        grads: list = [None] * len(vals)
         for vid, parameter, shape in self._param_leaves:
             data = parameter.data
             if data.shape != shape:
@@ -1402,8 +1444,6 @@ class CompiledProgram:
         for fwd in self._forward:
             fwd(vals, slots)
         root = self._root_vid
-        for vid in range(len(grads)):
-            grads[vid] = None
         seed = np.ones(self._root_shape, self._root_dtype)
         grads[root] = seed
         for vid, bwd in self._fire:
@@ -1418,13 +1458,12 @@ class CompiledProgram:
             grads[vid] = None
         for vid, parameter, _ in self._param_leaves:
             parameter.grad = grads[vid]
-            grads[vid] = None
         self.replays += 1
         return float(vals[root])
 
 
 def _specialize(
-    loss: Tensor, entries: list, slot_arrays: Sequence[np.ndarray]
+    loss: Tensor, entries: list, slot_arrays: Sequence[np.ndarray], arena: Arena
 ) -> CompiledProgram:
     if not isinstance(loss, Tensor):
         raise TraceError("traced forward did not return a Tensor")
@@ -1555,7 +1594,7 @@ def _specialize(
     # two re-runs the builders in the identical order so every
     # ``ctx.empty`` hands out its planned arena view.
     ctx.bind_arena(
-        _plan_intervals(ctx.requests, nodes, fire_vids, root_vid)
+        _plan_intervals(ctx.requests, nodes, fire_vids, root_vid), arena
     )
     forward: list = []
     bwd_of: dict[int, Callable] = {}
@@ -1581,13 +1620,16 @@ def _specialize(
         root_vid=root_vid,
         root_shape=loss.shape,
         root_dtype=loss.dtype,
+        arena_base=arena.base,
         arena_nbytes=ctx.arena_nbytes,
         requested_nbytes=ctx.requested_nbytes,
     )
 
 
 def trace_step(
-    forward_fn: Callable[[], Tensor], slot_arrays: Sequence[np.ndarray]
+    forward_fn: Callable[[], Tensor],
+    slot_arrays: Sequence[np.ndarray],
+    arena: Arena | None = None,
 ) -> tuple[CompiledProgram | None, Tensor, str | None]:
     """Capture one step and specialize it into a :class:`CompiledProgram`.
 
@@ -1595,7 +1637,8 @@ def trace_step(
     tape-hook registry, then specializes the captured op sequence
     against ``slot_arrays`` — the batch-dependent numpy arrays the
     forward consumed *by object identity* (see
-    ``TrainStepPlan.slot_arrays``).
+    ``TrainStepPlan.slot_arrays``).  The program's buffers are carved
+    from ``arena`` (a private one when omitted), which grows to fit.
 
     Returns ``(program, loss, failure)``.  The forward pass always
     completes and ``loss`` is always a live, backpropagatable tensor, so
@@ -1618,7 +1661,9 @@ def trace_step(
     finally:
         uninstall_tape_hooks(recorder)
     try:
-        program = _specialize(loss, recorder.entries, slot_arrays)
+        program = _specialize(
+            loss, recorder.entries, slot_arrays, arena if arena is not None else Arena()
+        )
     except TraceError as exc:
         return None, loss, str(exc)
     return program, loss, None

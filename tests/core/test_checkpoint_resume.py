@@ -14,6 +14,7 @@ from repro.core.checkpoint import TRAIN_STATE_FORMAT_VERSION
 from repro.nn.serialization import CheckpointError
 
 from .conftest import build_model
+from .tape_oracle import TapeTrainer
 
 
 class SimulatedCrash(RuntimeError):
@@ -87,17 +88,20 @@ class TestBitExactResume:
     def test_fault_injection_with_compiled_executor(
         self, small_dataset, small_split, resume_config, tmp_path
     ):
-        """Kill-and-resume with ``compile=True`` stays bit-exact.
+        """Kill-and-resume through the compiled executor stays bit-exact.
 
         The resumed process starts with an empty program cache and
         re-traces; by the executor's bit-exactness contract the replayed
-        steps still reproduce the uninterrupted compiled run (which in
-        turn equals the dynamic one) exactly.
+        steps still reproduce the uninterrupted run (which in turn
+        equals the dynamic-tape oracle) exactly.
         """
-        straight = _trainer(small_dataset, small_split, resume_config, compile=True)
+        straight = _trainer(small_dataset, small_split, resume_config)
         straight_history = straight.fit()
         straight_state = straight.model.state_dict()
         assert straight.compile_stats["replays"] > 0
+        oracle = _trainer(small_dataset, small_split, resume_config, cls=TapeTrainer)
+        assert oracle.fit().losses == straight_history.losses
+        _assert_state_dicts_equal(oracle.model.state_dict(), straight_state)
 
         for crash_at in (1, resume_config.epochs - 1):
             ckpt_dir = tmp_path / f"compiled-crash-{crash_at}"
@@ -106,15 +110,12 @@ class TestBitExactResume:
                 small_split,
                 resume_config,
                 cls=CrashingTrainer,
-                compile=True,
             )
             interrupted.crash_at = crash_at
             with pytest.raises(SimulatedCrash):
                 interrupted.fit(checkpoint_dir=ckpt_dir)
 
-            resumed = _trainer(
-                small_dataset, small_split, resume_config, compile=True
-            )
+            resumed = _trainer(small_dataset, small_split, resume_config)
             resumed_history = resumed.fit(checkpoint_dir=ckpt_dir, resume=True)
 
             assert resumed_history.losses == straight_history.losses, crash_at

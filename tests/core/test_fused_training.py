@@ -15,8 +15,8 @@ paths kept here as test-local oracles:
   the config matrix;
 * across that matrix, the engine's pair path equals the tape exactly,
   and its ``explain`` and catalog path agree to round-off;
-* a baseline model trains with the two-call step and evaluates on the
-  tape, without building an engine;
+* a baseline model trains with the two-call step (never the compiled
+  executor) and evaluates on the tape, without building an engine;
 * ``KGAGTrainer._gradient_norm`` equals the naive two-pass formula.
 """
 
@@ -311,12 +311,24 @@ class TestTapeFreeEvaluation:
             RankingEngine.from_model(model)
 
     def test_baseline_compile_rejected(self, world):
-        # The compiled step scores through KGAG's pair plan; a baseline
-        # is refused when the trainer is built, not on its first step.
+        # The compiled step scores through KGAG's pair plan, so a
+        # baseline never reaches it: it trains on the two-call tape,
+        # traces nothing and holds no program.
         dataset, split = world
-        model = cf_avg(dataset, KGAGConfig(embedding_dim=8, seed=2))
-        with pytest.raises(ValueError, match="AggregatedGroupRecommender"):
-            KGAGTrainer(model, split.train, dataset.user_item, compile=True)
+        model = cf_avg(
+            dataset, KGAGConfig(embedding_dim=8, epochs=1, batch_size=64, seed=2)
+        )
+        trainer = KGAGTrainer(model, split.train, dataset.user_item)
+        oracle = TwoCallTrainer(
+            cf_avg(
+                dataset, KGAGConfig(embedding_dim=8, epochs=1, batch_size=64, seed=2)
+            ),
+            split.train,
+            dataset.user_item,
+        )
+        assert trainer.train_epoch() == oracle.train_epoch()
+        assert trainer.compile_stats == {"traces": 0, "replays": 0, "fallbacks": 0}
+        assert trainer._programs == {}
 
 
 class TestGradientNorm:

@@ -32,6 +32,7 @@ from repro.nn import Adam, SGD, no_grad
 from repro.nn.module import Parameter
 
 from .conftest import build_model
+from .tape_oracle import TapeTrainer
 
 #: Committed tolerance for workers=4 convergence equivalence: final
 #: hit@5 / rec@5 may differ from the sequential run by at most this much
@@ -39,9 +40,9 @@ from .conftest import build_model
 CONVERGENCE_TOLERANCE = 0.15
 
 
-def make_trainer(small_dataset, small_split, config, **kwargs):
+def make_trainer(small_dataset, small_split, config, cls=KGAGTrainer, **kwargs):
     model = build_model(small_dataset, config)
-    return KGAGTrainer(
+    return cls(
         model,
         small_split.train,
         small_dataset.user_item,
@@ -61,7 +62,7 @@ def params_of(trainer):
 
 class TestWorkersOneParity:
     @pytest.mark.parametrize(
-        "loss,compile",
+        "loss,tape",
         [
             ("margin", False),
             ("margin", True),
@@ -70,8 +71,9 @@ class TestWorkersOneParity:
         ],
     )
     def test_bit_exact_with_sequential_trainer(
-        self, small_dataset, small_split, loss, compile
+        self, small_dataset, small_split, loss, tape
     ):
+        # ``tape`` puts the dynamic-tape oracle on the sequential side.
         config = KGAGConfig(
             embedding_dim=8,
             num_layers=1,
@@ -83,15 +85,12 @@ class TestWorkersOneParity:
             seed=0,
         )
         sequential = make_trainer(
-            small_dataset, small_split, config, compile=compile
-        )
-        one_worker = make_trainer(
             small_dataset,
             small_split,
             config,
-            compile=compile,
-            workers=1,
+            cls=TapeTrainer if tape else KGAGTrainer,
         )
+        one_worker = make_trainer(small_dataset, small_split, config, workers=1)
         for _ in range(2):
             assert sequential.train_epoch() == one_worker.train_epoch()
         for left, right in zip(params_of(sequential), params_of(one_worker)):
@@ -179,9 +178,7 @@ class TestParallelTraining:
         )
 
     def test_compiled_workers_run(self, small_dataset, small_split):
-        losses, _, _ = self._run(
-            small_dataset, small_split, workers=2, compile=True
-        )
+        losses, _, _ = self._run(small_dataset, small_split, workers=2)
         assert all(np.isfinite(loss) for loss in losses)
 
     def test_parallel_metrics_and_stats(self, small_dataset, small_split):

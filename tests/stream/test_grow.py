@@ -16,6 +16,8 @@ from repro.stream import DeltaBatch, apply_delta, finetune, grow_state, warm_sta
 from repro.stream import grow
 from repro.stream.grow import parameter_order
 
+from ..core.tape_oracle import TapeTrainer
+
 
 def _model_for(dataset, config):
     return KGAG(
@@ -216,6 +218,48 @@ class TestWarmStartTraining:
             np.array([new_group]), np.array([cold_item])
         )
         assert np.isfinite(score.numpy()).all()
+
+
+class _SignatureTapeTrainer(TapeTrainer):
+    """The tape oracle, recording each batch's shape signature."""
+
+    def _forward_backward(self, batch):
+        self.signatures = getattr(self, "signatures", [])
+        self.signatures.append((len(batch.group_triplets), len(batch.user_pairs)))
+        return super()._forward_backward(batch)
+
+
+class TestFinetuneRetraces:
+    def test_one_trace_per_batch_signature_after_a_delta(
+        self, dataset, split, config, monkeypatch
+    ):
+        # Batches of 4 over 10 group rows: two full batches, one partial.
+        small_batches = config.with_overrides(batch_size=4)
+        trainer = KGAGTrainer(
+            _model_for(dataset, small_batches), split.train, dataset.user_item
+        )
+        trainer.train_epoch()
+        state = TrainState.capture(trainer, epoch=0)
+        grown_dataset, plan = apply_delta(dataset, _growing_delta(dataset))
+        group_train = InteractionTable(
+            grown_dataset.groups.num_groups,
+            grown_dataset.num_items,
+            split.train.pairs,
+        )
+        compiled = warm_start(grown_dataset, state, plan, group_train, rng=5)
+        monkeypatch.setattr(grow, "KGAGTrainer", _SignatureTapeTrainer)
+        oracle = warm_start(grown_dataset, state, plan, group_train, rng=5)
+        for _ in range(2):
+            assert compiled.train_epoch() == oracle.train_epoch()
+
+        stats = compiled.compile_stats
+        assert stats["traces"] == len(set(oracle.signatures)) == 2
+        assert stats["fallbacks"] == 0
+        assert stats["replays"] == len(oracle.signatures) - stats["traces"]
+        for (name, left), (_, right) in zip(
+            compiled.model.named_parameters(), oracle.model.named_parameters()
+        ):
+            assert np.array_equal(left.data, right.data), name
 
 
 class TestForkedFinetune:

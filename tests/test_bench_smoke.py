@@ -220,8 +220,8 @@ def test_committed_report_clears_acceptance_bars():
 def test_committed_pr8_report_clears_acceptance_bar():
     """The committed BENCH_PR8.json must demonstrate the PR-8 target:
     compiled replay >=1.5x the dynamic tape on the canonical workload
-    (two trainers identical except ``compile=True``), with every timed
-    compiled step a pure replay (zero fallbacks)."""
+    (a trainer against an identical one whose step stays on the dynamic
+    tape), with every timed compiled step a pure replay (zero fallbacks)."""
     path = REPO_ROOT / "BENCH_PR8.json"
     report = json.loads(path.read_text())
     assert {"workload", "pair", "speedups"} <= set(report)
@@ -235,7 +235,7 @@ def test_committed_pr8_report_clears_acceptance_bar():
 def test_committed_pr9_report_clears_acceptance_bar():
     """The committed BENCH_PR9.json must demonstrate the PR-9 target:
     >=1.8x train-epoch speedup at ``workers=4`` over the 1-worker path
-    on the worker-scaling workload (every point ``compile=True``), with
+    on the worker-scaling workload (every point compiled), with
     the full 1/2/4/8 curve and the machine's core count recorded."""
     path = REPO_ROOT / "BENCH_PR9.json"
     report = json.loads(path.read_text())

@@ -37,10 +37,11 @@ Benchmarks
 PR-8 compiled pair
 ------------------
 ``--record compiled-pair`` (default output ``BENCH_PR8.json``) times a
-second comparison on the *same* canonical workload: two trainers built
-identically except for ``KGAGTrainer(compile=True)``.  Warmup epochs
-absorb the trace and the verified first replay, so the timed compiled
-epochs are pure replays of the captured program.  The acceptance bar
+second comparison on the *same* canonical workload: a ``KGAGTrainer``
+(which steps every KGAG through the compiled executor) against an
+otherwise identical trainer whose step stays on the dynamic tape.
+Warmup epochs absorb the trace and the verified first replay, so the
+timed compiled epochs are pure replays of the captured program.  The acceptance bar
 (``tests/test_bench_smoke.py``) fails if the committed report's
 ``speedups.train_epoch_compiled`` drops below 1.5x or if any step fell
 back to the dynamic tape.
@@ -50,11 +51,11 @@ PR-9 worker-scaling curve
 ``--record parallel`` (default output ``BENCH_PR9.json``) times one
 training epoch at each worker count in ``WORKLOAD["parallel"]
 ["workers"]`` on a sparse, embedding-heavy workload (large entity
-table, tiny batches).  Every point uses ``compile=True`` so the
-curve isolates what ``workers=N`` buys on top of the compiled
-executor.  Both paths apply the same row-sparse Adam with L2 on the
-touched rows, so what is left to the pool is that N-batch rounds
-amortise the optimiser step.  The report stamps ``cpu_count`` — the
+table, tiny batches).  Every point trains through the compiled
+executor, so the curve isolates what ``workers=N`` buys on top of it.
+Both paths apply the same row-sparse Adam with L2 on the touched rows,
+so what is left to the pool is that N-batch rounds amortise the
+optimiser step.  The report stamps ``cpu_count`` — the
 committed curve comes from a single-core container, recorded while
 the sequential path still ran dense Adam and a full-table L2 term, so
 its speedup is algorithmic, not core-parallelism (docs/parallelism.md).  The acceptance bar
@@ -114,7 +115,30 @@ WORKLOAD = {
 }
 
 
-def _build_world(**trainer_flags):
+def _tape_trainer_class():
+    """A ``KGAGTrainer`` whose KGAG step stays on the dynamic tape.
+
+    It runs the step the compiled executor falls back to: the same
+    plan, scored and backpropagated on the tape.
+    """
+    from repro.core import KGAGTrainer
+
+    class TapeTrainer(KGAGTrainer):
+        def _forward_backward(self, batch):
+            self.optimizer.zero_grad()
+            triplets = batch.group_triplets
+            plan = self.model.train_step_plan(
+                triplets[:, 0],
+                triplets[:, 1],
+                triplets[:, 2],
+                user_pairs=batch.user_pairs,
+            )
+            return self._dynamic_step_from_plan(plan)
+
+    return TapeTrainer
+
+
+def _build_world(trainer_class=None):
     from repro.core import KGAG, KGAGConfig, KGAGTrainer
     from repro.data import MovieLensLikeConfig, movielens_like, split_interactions
 
@@ -132,12 +156,11 @@ def _build_world(**trainer_flags):
         dataset.groups,
         config,
     )
-    trainer = KGAGTrainer(
+    trainer = (trainer_class or KGAGTrainer)(
         model,
         split.train,
         dataset.user_item,
         group_validation=split.validation,
-        **trainer_flags,
     )
     return dataset, split, trainer
 
@@ -223,14 +246,14 @@ def measure() -> dict:
 def measure_compiled_pair() -> dict:
     """Time the compiled-vs-dynamic train-step pair (PR 8).
 
-    Both sides run ``KGAGTrainer.train_epoch`` on the canonical
-    workload; the trainers are constructed identically except for
-    ``compile=True``, so the ratio isolates exactly what that flag buys
-    (trace-once/replay-many tape execution, including the per-step plan
-    build both sides share).  Warmup epochs absorb the one-time trace
-    and the bit-exactness-verified first replay; every timed compiled
-    epoch is a pure replay — confirmed by requiring zero recorded
-    fallbacks.
+    Both sides run ``train_epoch`` on the canonical workload; the
+    trainers are constructed identically, and the dynamic side's step
+    runs the compiled side's plan on the tape, so the ratio isolates
+    exactly what the executor buys (trace-once/replay-many tape
+    execution; the per-step plan build is shared).  Warmup epochs
+    absorb the one-time trace and the bit-exactness-verified first
+    replay; every timed compiled epoch is a pure replay — confirmed by
+    requiring zero recorded fallbacks.
     """
     reps = WORKLOAD["compiled_pair_reps"]
     measured: dict = {
@@ -239,12 +262,15 @@ def measure_compiled_pair() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
-    for side, flags in (("dynamic", {}), ("compiled", {"compile": True})):
-        _, _, trainer = _build_world(**flags)
+    for side, trainer_class in (
+        ("dynamic", _tape_trainer_class()),
+        ("compiled", None),
+    ):
+        _, _, trainer = _build_world(trainer_class)
         for _ in range(WORKLOAD["warmup_epochs"]):
             trainer.train_epoch()
         measured[f"train_epoch_{side}"] = _time_reps(trainer.train_epoch, reps)
-        if flags:
+        if trainer_class is None:
             measured["compile_stats"] = dict(trainer.compile_stats)
             programs = [
                 program
@@ -286,14 +312,13 @@ def _build_parallel_world(workers: int):
         dataset.user_item,
         group_validation=split.validation,
         workers=workers,
-        compile=True,
     )
 
 
 def measure_parallel() -> dict:
     """Time one training epoch at each worker count (PR 9).
 
-    Every point runs ``KGAGTrainer(workers=w, compile=True)`` on the
+    Every point runs ``KGAGTrainer(workers=w)`` on the
     ``WORKLOAD["parallel"]`` world, freshly built per point so no state
     leaks between worker counts.  ``cpu_count`` is stamped because the
     curve's meaning depends on it: on a single core the speedup is
