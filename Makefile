@@ -3,7 +3,7 @@
 PYTHON ?= python
 PROFILE ?= default
 
-.PHONY: install dev test lint docs-check race-smoke perfbench-test verify analysis-report obs-report bench bench-calibrated bench-report bench-report-compile bench-report-parallel bench-smoke bench-load examples experiments clean
+.PHONY: install dev test lint docs-check race-smoke perfbench-test verify analysis-report obs-report bench bench-calibrated bench-smoke bench-load examples experiments clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -28,7 +28,7 @@ race-smoke:
 perfbench-test:
 	$(PYTHON) -m pytest perfbench/tests -q
 
-verify: test lint docs-check race-smoke perfbench-test
+verify: test lint docs-check race-smoke perfbench-test bench-smoke
 
 analysis-report:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis.report
@@ -42,25 +42,13 @@ bench:
 bench-calibrated:
 	REPRO_BENCH_PROFILE=$(PROFILE) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Timed hot-path report: merges medians + profiler table into BENCH_PR4.json.
-bench-report:
-	PYTHONPATH=src $(PYTHON) tools/bench_report.py --record after
-
-# Compiled-vs-dynamic train-step pair -> BENCH_PR8.json.
-bench-report-compile:
-	PYTHONPATH=src $(PYTHON) tools/bench_report.py --record compiled-pair
-
-# Worker-scaling curve (1/2/4/8 workers) -> BENCH_PR9.json.
-bench-report-parallel:
-	PYTHONPATH=src $(PYTHON) tools/bench_report.py --record parallel
-
 # Closed-loop QPS/latency curve over 1/2/4 pool workers -> BENCH_SERVE.json.
 bench-load:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_load.py
 
 # Correctness-only pass over every benchmark body (no timing loops).
 bench-smoke:
-	$(PYTHON) -m pytest benchmarks/ tests/test_bench_smoke.py --benchmark-disable -q
+	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
 
 examples:
 	$(PYTHON) examples/quickstart.py

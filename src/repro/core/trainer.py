@@ -352,8 +352,8 @@ class KGAGTrainer:
         """Trace-once/replay-many step with automatic dynamic fallback.
 
         Fallback triggers (each counted in ``compile/fallbacks``): tape
-        hooks installed (sanitizer/profiler — compiled kernels bake in
-        the pristine donation fast paths hooks disable), a signature
+        hooks installed (sanitizer/profiler — a replay makes no tape
+        events for them to see), a signature
         whose trace failed (op outside the compiled set), a replay whose
         slots stopped matching the traced signature, and a first replay
         whose gradients do not reproduce the dynamic tape bit for bit.

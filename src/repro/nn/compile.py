@@ -1423,9 +1423,8 @@ class CompiledProgram:
         Assigns ``.grad`` on every trainable leaf (exactly what
         ``loss.backward()`` on the dynamic tape would produce, bit for
         bit) and returns the loss value.  Must not run while tape hooks
-        are installed — the kernels bake in the pristine donation
-        fast paths that hooks disable — nor while another program of
-        the same arena replays.  The forward values are dropped on
+        are installed — a replay makes no tape events for them to
+        see — nor while another program of the same arena replays.  The forward values are dropped on
         return.
         """
         if tape_hooks_active():
@@ -1648,9 +1647,8 @@ def trace_step(
     ``program`` is None and ``failure`` holds the reason.
 
     Raises :class:`TraceError` without running the forward if other tape
-    hooks are already installed — a sanitizer or profiler changes
-    accumulation semantics, and a program traced around them would not
-    represent the pristine tape.
+    hooks are already installed — the recorder would share their
+    events, and the program's replays would hide the steps from them.
     """
     if tape_hooks_active():
         raise TraceError("cannot trace while other tape hooks are installed")

@@ -335,17 +335,16 @@ class Tensor:
         reference skips the defensive copy the general path must make,
         which on embedding-heavy graphs is a large share of backward
         time.  Falls back to :meth:`_accumulate` for second
-        accumulations, dtype mismatches, and whenever tape hooks are
-        installed (observers must see every write).  Read-only views
-        (e.g. ``sum``'s broadcast gradient) may be stored: the in-place
-        branch of :meth:`_accumulate` checks writeability and falls back
-        to an out-of-place add for them.
+        accumulations and dtype mismatches.  Installed tape hooks see
+        the donated write too, and the donation still happens, so an
+        observed run adds in the same order as an unobserved one.
+        Read-only views (e.g. ``sum``'s broadcast gradient) may be
+        stored: the in-place branch of :meth:`_accumulate` checks
+        writeability and falls back to an out-of-place add for them.
         """
-        if (
-            self.grad is None
-            and Tensor._accumulate is _PRISTINE_ACCUMULATE
-            and grad.dtype == self.data.dtype
-        ):
+        if self.grad is None and grad.dtype == self.data.dtype:
+            if _tape_hooks:
+                _report_accumulate(self, grad)
             self.grad = grad
         else:
             self._accumulate(grad)
@@ -681,7 +680,6 @@ class Tensor:
                 return
             if (
                 self.grad is not None
-                and Tensor._accumulate is _PRISTINE_ACCUMULATE
                 and self.grad.flags.writeable
                 and self.grad.shape == self.data.shape
                 and self.grad.dtype == self.data.dtype
@@ -689,8 +687,13 @@ class Tensor:
                 # Repeat gathers from the same table (the receptive-field
                 # levels) scatter straight into the existing grad buffer
                 # instead of materializing a dense zeros + add per call.
-                # Skipped while tape hooks are installed so observers see
-                # every accumulation.
+                # Installed tape hooks are shown the dense table this
+                # write adds, but the write itself keeps the in-place
+                # order, so observers do not change the sums they watch.
+                if _tape_hooks:
+                    full = np.zeros_like(self.data)
+                    _index_add(full, key, grad)
+                    _report_accumulate(self, full)
                 _index_add(self.grad, key, grad)
                 return
             full = np.zeros_like(self.data)
@@ -817,6 +820,17 @@ def _hooked_accumulate(tensor_self, grad):
     for hooks in _tape_hooks:
         hooks.on_accumulate(tensor_self, grad)
     return _PRISTINE_ACCUMULATE(tensor_self, grad)
+
+
+def _report_accumulate(tensor, grad):
+    """Show hooks a gradient write that bypasses ``Tensor._accumulate``.
+
+    Called from the same frame depth as :func:`_hooked_accumulate`, so
+    observers that walk the stack find the op's closure at the same
+    place.
+    """
+    for hooks in _tape_hooks:
+        hooks.on_accumulate(tensor, grad)
 
 
 def install_tape_hooks(hooks) -> None:

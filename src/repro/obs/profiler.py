@@ -141,8 +141,9 @@ class TapeProfiler:
 
     def on_accumulate(self, tensor, grad) -> None:
         now = self._clock()
-        # Frames: 0 = on_accumulate, 1 = _hooked_accumulate, 2 = the
-        # backward closure (or Tensor.backward seeding the output grad).
+        # Frames: 0 = on_accumulate, 1 = _hooked_accumulate or
+        # _report_accumulate, 2 = the backward closure (or
+        # Tensor.backward seeding the output grad).
         # Gradient-routing helpers (_accumulate_exclusive / _give) may
         # sit in between; skip them so time lands on the real op.
         frame = sys._getframe(2)

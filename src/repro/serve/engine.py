@@ -356,22 +356,18 @@ class LiveModelIndex:
                 self, all_entities, np.zeros((len(all_entities), self.dim))
             )
         self._train_interactions = train_interactions
-        self._seen_lock = threading.Lock()
-        self._seen_by_group: dict[int, np.ndarray] | None = None  # guarded-by: _seen_lock
 
     def seen_items(self, group_id: int) -> np.ndarray:
-        """Items the group interacted with at train time (sorted)."""
-        with self._seen_lock:
-            if self._seen_by_group is None:
-                by_group: dict[int, np.ndarray] = {}
-                if self._train_interactions is not None:
-                    pairs = self._train_interactions.pairs
-                    for group in np.unique(pairs[:, 0]):
-                        items = pairs[pairs[:, 0] == group, 1]
-                        by_group[int(group)] = np.unique(items)
-                self._seen_by_group = by_group
-            table = self._seen_by_group
-        return table.get(int(group_id), np.zeros(0, dtype=np.int64))
+        """Items the group interacted with at train time (sorted).
+
+        Reads :meth:`~repro.data.interactions.InteractionTable.items_of`,
+        whose lazy per-row table is built from deduplicated, sorted
+        pairs by one attribute store: threads that race to build it
+        build equal tables, so no lock is needed.
+        """
+        if self._train_interactions is None:
+            return np.zeros(0, dtype=np.int64)
+        return self._train_interactions.items_of(group_id)
 
 
 class RankingEngine:

@@ -35,6 +35,26 @@ class TestExtraction:
                 index.seen_items(group), split.train.items_of(group)
             )
 
+    def test_live_view_seen_items_match_frozen_index(self, model, dataset, split):
+        from repro.data.interactions import InteractionTable
+        from repro.serve.engine import LiveModelIndex
+
+        # Drop groups 0 and 2 from train so some groups have no pairs.
+        pairs = split.train.pairs
+        train = InteractionTable(
+            split.train.num_rows,
+            split.train.num_cols,
+            pairs[~np.isin(pairs[:, 0], [0, 2])],
+        )
+        live = LiveModelIndex(model, train_interactions=train)
+        frozen = EmbeddingIndex.from_model(model, train, dataset.user_item)
+        for group in range(dataset.groups.num_groups):
+            expected = train.items_of(group)
+            np.testing.assert_array_equal(live.seen_items(group), expected)
+            np.testing.assert_array_equal(frozen.seen_items(group), expected)
+        assert live.seen_items(0).size == frozen.seen_items(2).size == 0
+        assert LiveModelIndex(model).seen_items(1).size == 0
+
     def test_popularity_vector(self, index, dataset):
         assert index.item_popularity.shape == (dataset.num_items,)
         assert (index.item_popularity >= 0).all()

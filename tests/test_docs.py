@@ -48,5 +48,33 @@ def test_referenced_modules_and_make_targets_exist(path):
     check_docs.collect_markdown(ROOT),
     ids=lambda path: path.name,
 )
+def test_mentioned_files_exist(path):
+    assert check_docs.check_file_mentions(path, ROOT) == []
+
+
+def test_stale_file_mention_fails(tmp_path):
+    (tmp_path / "src" / "repro" / "core").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "core" / "model.py").write_text("")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "guide.md").write_text("")
+    (tmp_path / "BENCH_SERVE.json").write_text("{}")
+    page = tmp_path / "docs" / "page.md"
+    page.write_text(
+        "Live: `core/model.py`, `docs/guide.md`, `guide.md`, `BENCH_SERVE.json`,\n"
+        "`model.py` (no slash, not checked).\n"
+        "Stale: `tools/gone.py` and `BENCH_OLD.json`.\n"
+        "```\n`tools/in_a_fence.py`\n```\n"
+    )
+    assert check_docs.check_file_mentions(page, tmp_path) == [
+        "docs/page.md: `BENCH_OLD.json` names no file",
+        "docs/page.md: `tools/gone.py` names no file",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    check_docs.collect_markdown(ROOT),
+    ids=lambda path: path.name,
+)
 def test_runnable_fences_execute(path):
     assert check_docs.check_runnable_fences(path, ROOT) == []

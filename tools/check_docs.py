@@ -13,7 +13,11 @@ Checks, over ``README.md`` and every ``docs/*.md``:
 3. **module references** — every ``python -m <module>`` mention must name
    an importable module (guards against renamed entry points);
 4. **make targets** — every ``make <target>`` mention must exist in the
-   Makefile.
+   Makefile;
+5. **file mentions** — every backticked path ending in ``.py``,
+   ``.json``, ``.md`` or ``.toml`` that contains ``/`` or starts with
+   ``BENCH_`` must name a file under the repository root, the markdown
+   file's directory or ``src/repro`` (package-relative paths).
 
 Run via ``make docs-check`` or ``python tools/check_docs.py``; exit code
 0 iff all checks pass.  Part of the tier-1 gate through
@@ -36,6 +40,7 @@ __all__ = [
     "check_runnable_fences",
     "check_module_references",
     "check_make_targets",
+    "check_file_mentions",
     "main",
 ]
 
@@ -44,6 +49,7 @@ LINK_RE = re.compile(r"\[[^\]^\[]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
 MODULE_RE = re.compile(r"python(?:3)? -m ([A-Za-z_][A-Za-z0-9_.]*)")
 MAKE_RE = re.compile(r"\bmake ([A-Za-z][A-Za-z0-9_-]*)")
+FILE_RE = re.compile(r"`([^`\s]+\.(?:py|json|md|toml))`")
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "#")
 
 
@@ -186,6 +192,20 @@ def check_make_targets(path: Path, root: Path) -> list[str]:
     return problems
 
 
+def check_file_mentions(path: Path, root: Path) -> list[str]:
+    """Every backticked file path must name an existing file."""
+    bases = (root, path.parent, root / "src" / "repro")
+    problems = []
+    for mention in sorted(set(FILE_RE.findall(_strip_fences(path.read_text())))):
+        if "/" not in mention and not mention.startswith("BENCH_"):
+            continue
+        if not any((base / mention).is_file() for base in bases):
+            problems.append(
+                f"{path.relative_to(root)}: `{mention}` names no file"
+            )
+    return problems
+
+
 def run_checks(root: Path, execute: bool = True) -> list[str]:
     """All problems across all markdown files (empty list = clean)."""
     problems: list[str] = []
@@ -193,6 +213,7 @@ def run_checks(root: Path, execute: bool = True) -> list[str]:
         problems.extend(check_links(path, root))
         problems.extend(check_module_references(path, root))
         problems.extend(check_make_targets(path, root))
+        problems.extend(check_file_mentions(path, root))
         if execute:
             problems.extend(check_runnable_fences(path, root))
     return problems
@@ -201,7 +222,7 @@ def run_checks(root: Path, execute: bool = True) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Check docs: links resolve, runnable fences execute, "
-        "referenced modules and make targets exist."
+        "referenced modules, make targets and files exist."
     )
     parser.add_argument(
         "--root",
