@@ -152,7 +152,9 @@ def test_stratified_sampling_covers_rare_relations(benchmark, profile):
     sampler = benchmark(build)
     # On a hub item (many Interact edges + few attribute edges) the
     # stratified sampler must still surface attribute relations.
-    item_counts = dataset.user_item.to_csr().sum(axis=0).A.ravel()
+    item_counts = np.bincount(
+        dataset.user_item.pairs[:, 1], minlength=dataset.num_items
+    )
     hub_item = int(np.argmax(item_counts))
     _, relations = sampler.sampled_neighbors(np.array([hub_item]))
     assert len(set(relations.ravel().tolist())) >= 2, (

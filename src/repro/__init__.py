@@ -18,7 +18,8 @@ Importing the package changes one process-wide setting: where glibc's
 ``libc.so.6`` loads, :mod:`repro.malloc` pins ``M_MMAP_THRESHOLD`` to
 32 MiB and ``M_TRIM_THRESHOLD`` to 128 MiB for the whole process, so
 numpy temporaries up to 32 MiB come from the heap and the heap keeps up
-to 128 MiB of freed memory.
+to 128 MiB of freed memory.  The names re-exported below load their
+subpackage on first use, so ``import repro`` itself loads nothing else.
 
 Quickstart
 ----------
@@ -39,39 +40,44 @@ from .malloc import pin_malloc_thresholds
 
 pin_malloc_thresholds()
 
-from .core import (
-    KGAG,
-    KGAGConfig,
-    KGAGTrainer,
-    GroupRecommender,
-    Explanation,
-    Recommendation,
-)
-from .data import (
-    GroupRecommendationDataset,
-    MovieLensLikeConfig,
-    YelpLikeConfig,
-    movielens_like,
-    yelp_like,
-    split_interactions,
-)
-from .eval import evaluate_group_recommender
+# Re-exports resolve on first access (PEP 562): a process that imports
+# one subpackage, such as a server reading a frozen index, does not load
+# the training stack with it.
+_EXPORTS = {
+    "core": (
+        "KGAG",
+        "KGAGConfig",
+        "KGAGTrainer",
+        "GroupRecommender",
+        "Explanation",
+        "Recommendation",
+    ),
+    "data": (
+        "GroupRecommendationDataset",
+        "MovieLensLikeConfig",
+        "YelpLikeConfig",
+        "movielens_like",
+        "yelp_like",
+        "split_interactions",
+    ),
+    "eval": ("evaluate_group_recommender",),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "KGAG",
-    "KGAGConfig",
-    "KGAGTrainer",
-    "GroupRecommender",
-    "Explanation",
-    "Recommendation",
-    "GroupRecommendationDataset",
-    "MovieLensLikeConfig",
-    "YelpLikeConfig",
-    "movielens_like",
-    "yelp_like",
-    "split_interactions",
-    "evaluate_group_recommender",
-    "__version__",
-]
+__all__ = [*_ORIGIN, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

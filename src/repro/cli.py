@@ -58,17 +58,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import KGAG, KGAGConfig, KGAGTrainer, GroupRecommender
-from .data import (
-    MovieLensLikeConfig,
-    YelpLikeConfig,
-    movielens_like,
-    split_interactions,
-    yelp_like,
-)
-from .data.io import load_dataset, save_dataset
-from .nn.serialization import load_checkpoint, save_checkpoint
-
+# Each command imports the layers it runs, so ``serve --index`` loads the
+# serving stack alone and not the trainer or the data generators.
 __all__ = ["main", "build_parser"]
 
 EXPERIMENT_MODULES = {
@@ -304,6 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 # command implementations
 # ---------------------------------------------------------------------------
 def _cmd_dataset_generate(args) -> int:
+    from .data import MovieLensLikeConfig, YelpLikeConfig, movielens_like, yelp_like
+    from .data.io import save_dataset
+
     if args.kind in ("rand", "simi"):
         config = MovieLensLikeConfig(seed=args.seed)
         if args.users:
@@ -329,6 +323,8 @@ def _cmd_dataset_generate(args) -> int:
 
 
 def _cmd_dataset_stats(args) -> int:
+    from .data.io import load_dataset
+
     dataset = load_dataset(args.path)
     print(f"dataset: {dataset.name}")
     print(json.dumps(dataset.stats(), indent=2))
@@ -337,12 +333,17 @@ def _cmd_dataset_stats(args) -> int:
 
 
 def _load_with_split(path: str, seed: int):
+    from .data import split_interactions
+    from .data.io import load_dataset
+
     dataset = load_dataset(path)
     split = split_interactions(dataset.group_item, rng=np.random.default_rng(seed))
     return dataset, split
 
 
-def _build_model(dataset, config: KGAGConfig) -> KGAG:
+def _build_model(dataset, config):
+    from .core import KGAG
+
     return KGAG(
         dataset.kg,
         dataset.num_users,
@@ -354,6 +355,9 @@ def _build_model(dataset, config: KGAGConfig) -> KGAG:
 
 
 def _cmd_train(args) -> int:
+    from .core import KGAGConfig, KGAGTrainer
+    from .nn.serialization import save_checkpoint
+
     dataset, split = _load_with_split(args.data, args.seed)
     config = KGAGConfig(
         embedding_dim=args.dim,
@@ -421,7 +425,8 @@ def _restore(args):
     so ``evaluate`` / ``build-index`` / ``serve`` can run straight off a
     training run's checkpoint directory.
     """
-    from .nn.serialization import read_npz_archive
+    from .core import KGAGConfig
+    from .nn.serialization import load_checkpoint, read_npz_archive
 
     dataset, split = _load_with_split(args.data, args.seed)
     path = _checkpoint_path(args.checkpoint)
@@ -462,6 +467,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_recommend(args) -> int:
     import time
 
+    from .core import GroupRecommender
     from .obs import NULL_TRACER, Tracer
 
     tracer = Tracer() if args.metrics_out else NULL_TRACER
@@ -548,6 +554,7 @@ def _train_state_for(checkpoint: str, dataset, split, model):
     captured around the restored weights — fine-tuning then starts with
     cold Adam moments, exactly like resuming from a weights-only export.
     """
+    from .core import KGAGTrainer
     from .core.checkpoint import TrainState
     from .nn.serialization import read_npz_archive
 
@@ -705,6 +712,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_ingest_delta(args) -> int:
     from .core.checkpoint import TrainState
+    from .data.io import save_dataset
     from .stream import OnlineUpdater
 
     dataset, split = _load_with_split(args.data, args.seed)

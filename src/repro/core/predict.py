@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.interactions import InteractionTable
+from ..serve.engine import RankingEngine
 from .model import KGAG
 
 __all__ = ["Recommendation", "MemberInfluence", "Explanation", "GroupRecommender"]
@@ -108,8 +109,6 @@ class GroupRecommender:
         self.index = index
         self._engine = None
         if index is not None:
-            from ..serve.engine import RankingEngine  # deferred import
-
             self._engine = RankingEngine(index)
 
     def _seen_items(self, group_id: int) -> np.ndarray:
@@ -128,8 +127,6 @@ class GroupRecommender:
         """The index's engine, or one over a view of the live weights."""
         if self._engine is not None:
             return self._engine
-        from ..serve.engine import RankingEngine  # deferred import
-
         model = self._require_model()
         model.eval()
         return RankingEngine.from_model(model)

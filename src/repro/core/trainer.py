@@ -30,6 +30,7 @@ from ..eval.evaluator import evaluate_group_recommender
 from ..nn import Adam, Tensor, clip_grad_norm, grad_l2_norm, no_grad, tape_hooks_active
 from ..nn.compile import Arena, TraceError, trace_step
 from ..obs.metrics import NULL_REGISTRY
+from ..serve.engine import RankingEngine
 from .losses import combined_loss
 from .model import KGAG, TrainStepPlan
 
@@ -58,10 +59,6 @@ def evaluate_model(
     """
     model.eval()
     if isinstance(model, KGAG):
-        # Imported lazily: training must not pull in the serving layer
-        # until the first evaluation.
-        from ..serve.engine import RankingEngine
-
         return evaluate_group_recommender(
             None,
             interactions,

@@ -8,7 +8,6 @@ the group-construction protocol needs — live in :class:`RatingsTable`.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 __all__ = ["InteractionTable", "RatingsTable"]
 
@@ -93,14 +92,6 @@ class InteractionTable:
         if len(self._pairs):
             matrix[self._pairs[:, 0], self._pairs[:, 1]] = 1.0
         return matrix
-
-    def to_csr(self) -> sparse.csr_matrix:
-        """scipy CSR view of the binary matrix."""
-        data = np.ones(len(self._pairs))
-        return sparse.csr_matrix(
-            (data, (self._pairs[:, 0], self._pairs[:, 1])),
-            shape=(self.num_rows, self.num_cols),
-        )
 
     # -- manipulation ----------------------------------------------------
     def subset(self, pair_indices) -> "InteractionTable":

@@ -16,15 +16,10 @@ import numpy as np
 
 from ..data.interactions import InteractionTable
 from ..obs.metrics import NULL_REGISTRY
+from ..serve.engine import PAIR_CHUNK
 from .metrics import evaluate_rankings
 
 __all__ = ["GroupScorer", "score_all_items", "evaluate_group_recommender"]
-
-# Pairs per forward pass of every pair-scoring loop: the scorer calls
-# below and :meth:`~repro.serve.engine.RankingEngine.score_pairs` share
-# it, so the engine's pair path sees the tape's batch shapes (float sums
-# depend on the batch shape, so bit-exact parity needs equal shapes).
-PAIR_CHUNK = 4096
 
 
 class GroupScorer(Protocol):

@@ -41,15 +41,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..eval.evaluator import PAIR_CHUNK
-
 __all__ = [
+    "PAIR_CHUNK",
     "RankedItem",
     "propagate",
     "LiveModelIndex",
     "RankingEngine",
     "MicroBatcher",
 ]
+
+# Pairs per forward pass of every pair-scoring loop: ``score_pairs``
+# below and the tape scorer calls of ``repro.eval.score_all_items``
+# share it, so the pair path sees the tape's batch shapes (float sums
+# depend on the batch shape, so bit-exact parity needs equal shapes).
+PAIR_CHUNK = 4096
 
 # Bytes one catalog tile may hold: ``score_matrix`` sizes its item
 # chunks so one chunk's propagation and member block stay near this.
@@ -363,10 +368,15 @@ class LiveModelIndex:
         Reads :meth:`~repro.data.interactions.InteractionTable.items_of`,
         whose lazy per-row table is built from deduplicated, sorted
         pairs by one attribute store: threads that race to build it
-        build equal tables, so no lock is needed.
+        build equal tables, so no lock is needed.  A view built without
+        ``train_interactions`` cannot tell seen items from unseen ones,
+        so it raises ``ValueError`` rather than exclude nothing.
         """
         if self._train_interactions is None:
-            return np.zeros(0, dtype=np.int64)
+            raise ValueError(
+                "this live view has no train interactions to exclude: pass "
+                "train_interactions= when building it, or exclude_seen=False"
+            )
         return self._train_interactions.items_of(group_id)
 
 
@@ -400,9 +410,10 @@ class RankingEngine:
 
         Wraps ``model`` in a :class:`LiveModelIndex` — the constructor
         :func:`~repro.core.trainer.evaluate_model` and
-        :class:`~repro.core.predict.GroupRecommender` use.  Raises
-        ``TypeError`` for a model that is not a
-        :class:`~repro.core.model.KGAG`.
+        :class:`~repro.core.predict.GroupRecommender` use; both mask
+        seen items themselves.  Raises ``TypeError`` for a model that is
+        not a :class:`~repro.core.model.KGAG`.  Without
+        ``train_interactions``, :meth:`top_k` needs ``exclude_seen=False``.
         """
         view = LiveModelIndex(model, train_interactions=train_interactions)
         return cls(view, cache=cache)
@@ -704,8 +715,9 @@ class RankingEngine:
         if k <= 0:
             raise ValueError("k must be positive")
         index = self.index
+        seen = index.seen_items(group_id) if exclude_seen else None
         scores = self._scores_for_groups(index, [int(group_id)])[0]
-        return self.rank(scores, index.seen_items(group_id) if exclude_seen else None, k)
+        return self.rank(scores, seen, k)
 
     @staticmethod
     def rank(scores: np.ndarray, seen: np.ndarray | None, k: int) -> list[RankedItem]:

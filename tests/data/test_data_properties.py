@@ -62,12 +62,6 @@ def test_row_counts_sum_to_interactions(table):
 
 @settings(max_examples=50, deadline=None)
 @given(tables())
-def test_dense_and_csr_agree(table):
-    np.testing.assert_array_equal(table.to_csr().toarray(), table.to_dense())
-
-
-@settings(max_examples=50, deadline=None)
-@given(tables())
 def test_items_of_consistent_with_pairs(table):
     for row in range(table.num_rows):
         items = set(table.items_of(row).tolist())

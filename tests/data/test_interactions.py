@@ -53,10 +53,6 @@ class TestInteractionTable:
         table = InteractionTable(2, 2, [(0, 1)])
         np.testing.assert_array_equal(table.to_dense(), [[0, 1], [0, 0]])
 
-    def test_to_csr_matches_dense(self):
-        table = InteractionTable(3, 3, [(0, 1), (2, 2)])
-        np.testing.assert_array_equal(table.to_csr().toarray(), table.to_dense())
-
     def test_subset(self):
         table = InteractionTable(3, 3, [(0, 0), (1, 1), (2, 2)])
         sub = table.subset([0, 2])

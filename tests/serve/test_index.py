@@ -53,7 +53,25 @@ class TestExtraction:
             np.testing.assert_array_equal(live.seen_items(group), expected)
             np.testing.assert_array_equal(frozen.seen_items(group), expected)
         assert live.seen_items(0).size == frozen.seen_items(2).size == 0
-        assert LiveModelIndex(model).seen_items(1).size == 0
+        with pytest.raises(ValueError, match="train_interactions"):
+            LiveModelIndex(model).seen_items(1)
+
+    def test_live_top_k_without_train_interactions_raises(self, model, split):
+        from repro.core import GroupRecommender
+        from repro.serve.engine import RankingEngine
+
+        bare = RankingEngine.from_model(model)
+        with pytest.raises(ValueError, match="exclude_seen=False"):
+            bare.top_k(1, k=5)
+        assert len(bare.top_k(1, k=model.num_items, exclude_seen=False)) == model.num_items
+        masked = RankingEngine.from_model(model, train_interactions=split.train)
+        seen = set(split.train.items_of(1).tolist())
+        assert seen
+        served = [r.item for r in masked.top_k(1, k=5)]
+        assert seen.isdisjoint(served)
+        # The recommender masks seen items itself over a bare live view.
+        recommender = GroupRecommender(model, split.train)
+        assert [r.item for r in recommender.recommend(1, k=5)] == served
 
     def test_popularity_vector(self, index, dataset):
         assert index.item_popularity.shape == (dataset.num_items,)

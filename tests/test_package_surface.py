@@ -6,7 +6,13 @@ These catch broken re-exports at unit-test speed.
 """
 
 import importlib
+import json
+import os
 import pkgutil
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,3 +142,55 @@ def test_public_classes_have_docstrings():
     for cls in (KGAG, KGAGConfig, KGAGTrainer, GroupRecommender, KGCN,
                 MatrixFactorization, MoSAN, Tensor, Module):
         assert cls.__doc__ and len(cls.__doc__.strip()) > 30, cls
+
+
+def test_fresh_import_loads_no_subpackage_and_pins_malloc():
+    """``import repro`` pins the allocator and leaves re-exports unloaded."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    probe = (
+        "import json, sys\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('repro'))\n"
+        "import repro\n"
+        "report = {'repro': loaded(), 'pinned': repro.malloc._pinned}\n"
+        "import repro.nn\n"
+        "report['nn'] = loaded()\n"
+        "report['compile'] = repro.nn.compile.__name__\n"
+        "print(json.dumps(report))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    report = json.loads(out.stdout)
+    assert report["repro"] == ["repro", "repro.malloc"]
+    assert report["nn"] == ["repro", "repro.malloc", "repro.nn"]
+    assert report["compile"] == "repro.nn.compile"
+    if platform.libc_ver()[0] == "glibc":
+        assert report["pinned"] is True
+
+
+@pytest.mark.parametrize("name", ["repro", "repro.nn"])
+def test_lazy_exports_listed_resolved_and_strict(name):
+    module = importlib.import_module(name)
+    assert set(module.__all__) <= set(dir(module))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(module, "no_such_name")
+    assert not hasattr(module, "no_such_name")
+    namespace: dict = {}
+    exec(f"from {name} import *", namespace)
+    assert set(module.__all__) <= set(namespace)
+
+
+def test_lazy_exports_are_the_defining_objects():
+    import repro.core.model
+    import repro.nn
+    import repro.nn.compile
+    import repro.nn.optim
+
+    assert repro.KGAG is repro.core.model.KGAG
+    assert repro.nn.Adam is repro.nn.optim.Adam
+    assert repro.nn.compile is sys.modules["repro.nn.compile"]
+    assert repro.nn.trace_step is repro.nn.compile.trace_step
