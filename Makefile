@@ -51,10 +51,10 @@ bench-smoke:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/movie_night.py
-	$(PYTHON) examples/yelp_outing.py
-	$(PYTHON) examples/explain_group_decision.py
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/movie_night.py
+	PYTHONPATH=src $(PYTHON) examples/yelp_outing.py
+	PYTHONPATH=src $(PYTHON) examples/explain_group_decision.py
 
 experiments:
 	$(PYTHON) -m repro.experiments.table1_datasets   --profile $(PROFILE)

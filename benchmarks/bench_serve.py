@@ -121,7 +121,7 @@ def test_skewed_stream_with_cache(benchmark, index, skewed_groups):
 
 def test_service_latency_percentiles(benchmark, index, skewed_groups):
     def serve_stream():
-        service = RecommendationService(index, deadline_ms=None, batch_wait_ms=0.0)
+        service = RecommendationService(index, deadline_ms=None)
         try:
             for group in skewed_groups:
                 service.recommend(int(group), k=10)

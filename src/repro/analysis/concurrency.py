@@ -1,7 +1,7 @@
 """Concurrency lint rules: lock discipline for the serve/obs thread surface.
 
 The serving stack holds shared mutable state behind ~10 locks — the
-score cache's LRU map, the micro-batcher's pending queue, the breaker's
+score cache's LRU map, the single flight's in-flight table, the breaker's
 state machine, every metrics instrument — and nothing but code review
 guards the discipline.  This module makes the discipline *declarative*
 and machine-checked:

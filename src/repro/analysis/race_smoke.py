@@ -3,8 +3,9 @@
 ``python -m repro.analysis.race_smoke`` (the ``make race-smoke``
 target) hammers the thread-shared serving and observability objects —
 :class:`~repro.obs.metrics.MetricsRegistry`, :class:`~repro.obs.trace.
-Tracer`, :class:`~repro.serve.cache.ScoreCache`, :class:`~repro.serve.
-engine.MicroBatcher`, :class:`~repro.serve.fallback.ResilientScorer`,
+Tracer`, :class:`~repro.serve.cache.ScoreCache`, the per-group single
+flight :class:`~repro.serve.engine.MicroBatcher`,
+:class:`~repro.serve.fallback.ResilientScorer`,
 :class:`~repro.serve.fallback.CircuitBreaker` and the parallel
 trainer's reduction counters
 (:class:`~repro.core.parallel.ParallelStats`) — from N concurrent
@@ -26,6 +27,7 @@ import argparse
 import sys
 import threading
 import time
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +50,7 @@ class _StubEngine:
     """Deterministic engine stand-in: score(group, item) = group + item."""
 
     num_items = NUM_ITEMS
+    index = SimpleNamespace(version="stub")
 
     def scores_for_groups(self, group_ids) -> np.ndarray:
         base = np.arange(self.num_items, dtype=np.float64)
@@ -73,7 +76,7 @@ def _build_stack():
     histogram = registry.histogram("smoke/latency_ms", help="stress latency")
     tracer = Tracer()
     cache = ScoreCache(capacity=64)
-    batcher = MicroBatcher(_StubEngine(), max_wait_ms=0.2, max_batch=8)
+    batcher = MicroBatcher(_StubEngine())
     breaker = CircuitBreaker(failure_threshold=3, reset_timeout=0.005)
 
     def primary(group_id: int) -> np.ndarray:

@@ -193,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument("--cache-size", type=int, default=256)
     serve.add_argument("--deadline-ms", type=float, default=250.0)
-    serve.add_argument("--batch-wait-ms", type=float, default=2.0)
     serve.add_argument("--seed", type=int, default=0, help="split seed")
     serve.add_argument(
         "--workers",
@@ -467,8 +466,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_recommend(args) -> int:
     import time
 
-    from .core import GroupRecommender
     from .obs import NULL_TRACER, Tracer
+    from .serve import RankingEngine
 
     tracer = Tracer() if args.metrics_out else NULL_TRACER
     if args.index:
@@ -477,7 +476,7 @@ def _cmd_recommend(args) -> int:
         load_start = time.perf_counter()
         with tracer.span("load"):
             index = EmbeddingIndex.load(args.index)
-            recommender = GroupRecommender(None, index=index)
+            engine = RankingEngine(index)
         members = index.group_members[args.group].tolist()
         path_label = f"index {index.version}"
         load_ms = (time.perf_counter() - load_start) * 1000.0
@@ -485,7 +484,7 @@ def _cmd_recommend(args) -> int:
         load_start = time.perf_counter()
         with tracer.span("load"):
             dataset, split, model = _restore(args)
-            recommender = GroupRecommender(model, split.train)
+            engine = RankingEngine.from_model(model, train_interactions=split.train)
         members = dataset.groups[args.group].tolist()
         path_label = "full model"
         load_ms = (time.perf_counter() - load_start) * 1000.0
@@ -497,18 +496,18 @@ def _cmd_recommend(args) -> int:
         return 2
     score_start = time.perf_counter()
     with tracer.span("score"):
-        recommendations = recommender.recommend(args.group, k=args.k)
+        recommendations = engine.top_k(args.group, k=args.k)
     score_ms = (time.perf_counter() - score_start) * 1000.0
     print(f"group {args.group} (members {members}):")
     for rank, rec in enumerate(recommendations, start=1):
         print(f"  #{rank}: item {rec.item}  p={rec.probability:.4f}")
         if args.explain:
-            explanation = recommender.explain(args.group, rec.item)
-            for influence in sorted(explanation.influences, key=lambda m: -m.attention):
+            raw = engine.explain(args.group, rec.item)
+            for i in np.argsort(-raw["attention"], kind="stable"):
                 print(
-                    f"       user {influence.user}: attention {influence.attention:.3f} "
-                    f"(SP {influence.self_persistence:+.3f}, "
-                    f"PI {influence.peer_influence:+.3f})"
+                    f"       user {raw['members'][i]}: "
+                    f"attention {raw['attention'][i]:.3f} "
+                    f"(SP {raw['sp'][i]:+.3f}, PI {raw['pi'][i]:+.3f})"
                 )
     print(
         f"timing: load {load_ms:.1f} ms, scoring {score_ms:.1f} ms ({path_label})"
@@ -592,7 +591,6 @@ def _cmd_serve_pool(args) -> int:
         service_config=dict(
             cache_capacity=args.cache_size,
             deadline_ms=args.deadline_ms,
-            batch_wait_ms=args.batch_wait_ms,
             scorer_threads=args.scorer_threads,
         ),
         admission=_serve_admission(args),
@@ -668,7 +666,6 @@ def _cmd_serve(args) -> int:
         index,
         cache_capacity=args.cache_size,
         deadline_ms=args.deadline_ms,
-        batch_wait_ms=args.batch_wait_ms,
         metrics=registry,
         scorer_threads=args.scorer_threads,
         admission=_serve_admission(args),

@@ -1,4 +1,4 @@
-"""repro.serve — batched, cached, fault-tolerant recommendation serving.
+"""repro.serve — cached, fault-tolerant recommendation serving.
 
 The training stack optimizes for gradient fidelity; this package
 optimizes for request latency.  The split follows the KGCN / SIAGR
@@ -10,7 +10,9 @@ online.
   artifact (frozen embeddings, weights, neighbor tables; ``.npz`` +
   metadata + content fingerprint);
 * :mod:`~repro.serve.engine` — :class:`RankingEngine`: tape-free numpy
-  scoring with request micro-batching and seen-item masking;
+  scoring with seen-item masking, and :class:`MicroBatcher`, the
+  per-group single flight that scores concurrent misses of one group
+  once;
 * :mod:`~repro.serve.cache` — :class:`ScoreCache`: bounded LRU of
   per-group score vectors keyed on the index version;
 * :mod:`~repro.serve.fallback` — deadline, circuit breaker and the

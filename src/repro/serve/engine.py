@@ -24,11 +24,12 @@ Two scoring paths:
   the tape to round-off, not bit for bit.  Served and cached vectors
   are scored one group per call, so a group's vector depends only on
   the group and the index, never on which other groups shared its
-  micro-batch.
+  engine call.
 
-:class:`MicroBatcher` coalesces concurrent score requests from server
-threads into one engine call (one forward per distinct group), and
-:meth:`RankingEngine.top_k` reproduces the serving semantics of
+:class:`MicroBatcher` is the server's per-group single flight: a miss
+scores at once on its own thread, and concurrent misses of one group
+share that one engine call.  :meth:`RankingEngine.top_k` reproduces the
+serving semantics of
 :meth:`~repro.core.predict.GroupRecommender.recommend`, including the
 ``-inf`` exclusion mask and stable tie-breaking.
 """
@@ -778,116 +779,96 @@ class RankingEngine:
 
 
 class MicroBatcher:
-    """Coalesces concurrent score requests into one engine call.
+    """Per-group single flight: concurrent misses of one group score once.
 
-    Server threads call :meth:`scores_for_group`; the first caller in a
-    window becomes the *leader*, waits up to ``max_wait_ms`` for peers to
-    pile on (or until ``max_batch`` requests are queued), then runs one
-    :meth:`RankingEngine.scores_for_groups` for the whole batch — one
-    forward per distinct group, so concurrent misses of one group are
-    scored once — and hands each waiter its row.  Under a
-    single-threaded client the wait degenerates to one timeout and one
-    single-row batch.
+    Server threads call :meth:`scores_for_group`.  The first miss for a
+    group starts a *flight*: it calls
+    :meth:`RankingEngine.scores_for_groups` for that one group at once,
+    on its own thread.  A concurrent miss for the same group joins the
+    flight and waits for its row instead of scoring again; a miss for
+    another group starts its own flight.  Nothing waits for company: a
+    lone miss reaches the engine without a timed wait.
+
+    Flights are keyed by ``(group, engine.index.version)``, read when the
+    request joins, so a read that sees a swapped-in index never receives
+    a row a flight started on the old one.
     """
 
-    def __init__(self, engine: RankingEngine, max_wait_ms: float = 2.0, max_batch: int = 64):
-        if max_batch <= 0:
-            raise ValueError("max_batch must be positive")
+    def __init__(self, engine: RankingEngine):
         self.engine = engine
-        self.max_wait = max(0.0, float(max_wait_ms)) / 1000.0
-        self.max_batch = int(max_batch)
         self._lock = threading.Lock()
-        self._condition = threading.Condition(self._lock)
-        self._pending: list[_PendingRequest] = []  # guarded-by: _condition
-        self._leader_active = False  # guarded-by: _condition
-        self._closed = False  # guarded-by: _condition
-        self._batches_run = 0  # guarded-by: _condition
-        self._requests_served = 0  # guarded-by: _condition
+        self._flights: dict[tuple[int, str], _Flight] = {}  # guarded-by: _lock
+        self._closed = False  # guarded-by: _lock
+        self._batches_run = 0  # guarded-by: _lock
+        self._requests_served = 0  # guarded-by: _lock
 
     @property
     def batches_run(self) -> int:
-        with self._condition:
+        """Flights flown (engine calls made)."""
+        with self._lock:
             return self._batches_run
 
     @property
     def requests_served(self) -> int:
-        with self._condition:
+        """Requests those flights answered, joiners included."""
+        with self._lock:
             return self._requests_served
 
     @property
     def closed(self) -> bool:
-        with self._condition:
+        with self._lock:
             return self._closed
 
     def scores_for_group(self, group_id: int) -> np.ndarray:
-        request = _PendingRequest(int(group_id))
-        with self._condition:
+        key = (int(group_id), self.engine.index.version)
+        with self._lock:
             if self._closed:
                 raise RuntimeError("MicroBatcher is closed")
-            self._pending.append(request)
-            if len(self._pending) >= self.max_batch:
-                self._condition.notify_all()
-            lead = not self._leader_active
+            flight = self._flights.get(key)
+            lead = flight is None
             if lead:
-                self._leader_active = True
+                flight = self._flights[key] = _Flight()
+            flight.requests += 1
         if lead:
-            self._lead_batch()
-        request.done.wait()
-        if request.error is not None:
-            raise request.error
-        return request.result
+            self._fly(key, flight)
+        else:
+            flight.done.wait()
+        if flight.error is not None:
+            raise flight.error
+        return flight.result
 
     def close(self) -> None:
-        """Refuse new work; idempotent, pending requests still complete.
+        """Refuse new work; idempotent, flights in the air still land.
 
-        Every queued request either became the leader or is guaranteed
-        to be collected by the currently active leader (the queue swap
-        is atomic under the condition), so closing never strands a
-        waiter; the ``notify_all`` just wakes a waiting leader early.
+        A request either joined a flight before the close, and that
+        flight's leader answers it, or it is refused, so closing never
+        strands a waiter.
         """
-        with self._condition:
-            if self._closed:
-                return
+        with self._lock:
             self._closed = True
-            self._condition.notify_all()
 
-    def _lead_batch(self) -> None:
-        with self._condition:
-            if (
-                self.max_wait > 0
-                and len(self._pending) < self.max_batch
-                and not self._closed
-            ):
-                self._condition.wait(timeout=self.max_wait)
-            batch, self._pending = self._pending, []
-            self._leader_active = False
-        if not batch:
-            return
+    def _fly(self, key: tuple[int, str], flight: "_Flight") -> None:
         try:
-            groups = [request.group for request in batch]
-            rows = self.engine.scores_for_groups(groups)
-            for row, request in enumerate(batch):
-                request.result = rows[row]
-        except Exception as error:  # propagate to every waiter
-            for request in batch:
-                request.error = error
+            flight.result = self.engine.scores_for_groups([key[0]])[0]
+        except Exception as error:  # propagate to every joiner
+            flight.error = error
         finally:
-            with self._condition:
+            # Land before waking: a later miss starts a fresh flight and
+            # the counters already include this one.
+            with self._lock:
+                del self._flights[key]
                 self._batches_run += 1
-                self._requests_served += len(batch)
-            # Wake waiters only after the counters are consistent, and
-            # outside the lock so they don't immediately block on it.
-            for request in batch:
-                request.done.set()
+                self._requests_served += flight.requests
+            flight.done.set()
 
 
-class _PendingRequest:
-    """One queued micro-batch entry."""
+class _Flight:
+    """One in-flight engine call and the requests waiting on it."""
 
-    __slots__ = ("group", "done", "result", "error")
+    __slots__ = ("done", "requests", "result", "error")
 
-    def __init__(self, group: int):
-        self.group = group
+    def __init__(self):
         self.done = threading.Event()
+        self.requests = 0
         self.result: np.ndarray | None = None
         self.error: Exception | None = None

@@ -140,7 +140,8 @@ class ResilientScorer:
     ----------
     primary:
         ``group_id -> (num_items,) scores`` — the model path (typically
-        ``RankingEngine.scores_for_group`` or a micro-batcher).
+        ``RankingEngine.scores_for_group`` or the per-group single
+        flight).
     fallback:
         Same signature, must be cheap and reliable (popularity vector).
     deadline_ms:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import threading
 import zipfile
 from pathlib import Path
 
@@ -197,8 +196,10 @@ class EmbeddingIndex:
         self.metadata = dict(metadata)
         self.version = self.metadata.get("fingerprint") or self._fingerprint()
         self.metadata["fingerprint"] = self.version
-        self._seen_lock = threading.Lock()
-        self._seen_by_group: dict[int, np.ndarray] | None = None  # guarded-by: _seen_lock
+        # Sorted keys ``group * num_items + item``: a group's train items
+        # are one slice, found by binary search on every served read.
+        seen = self.seen_pairs.astype(np.int64, copy=False)
+        self._seen_keys = np.sort(seen[:, 0] * self.num_items + seen[:, 1])
 
     # -- array accessors -------------------------------------------------
     def __getattr__(self, name: str) -> np.ndarray:
@@ -277,17 +278,9 @@ class EmbeddingIndex:
 
     def seen_items(self, group_id: int) -> np.ndarray:
         """Items ``group_id`` interacted with at train time (sorted)."""
-        with self._seen_lock:
-            if self._seen_by_group is None:
-                by_group: dict[int, list[int]] = {}
-                for g, v in self.seen_pairs:
-                    by_group.setdefault(int(g), []).append(int(v))
-                self._seen_by_group = {
-                    g: np.array(sorted(items), dtype=np.int64)
-                    for g, items in by_group.items()
-                }
-            table = self._seen_by_group
-        return table.get(int(group_id), np.zeros(0, dtype=np.int64))
+        base = int(group_id) * self.num_items
+        lo, hi = np.searchsorted(self._seen_keys, (base, base + self.num_items))
+        return self._seen_keys[lo:hi] - base
 
     # -- construction ----------------------------------------------------
     @classmethod

@@ -1,9 +1,9 @@
 """Pre-fork multi-process serving over one memory-mapped index artifact.
 
 A single :class:`~repro.serve.server.RecommendationServer` is bounded by
-one GIL: the micro-batcher's coalescing window leaves the core idle
-while a leader thread sleeps, and one process heap holds the whole
-embedding table.  :class:`ServingPool` removes both bounds:
+one GIL: its scoring, JSON and HTTP work share one core however many
+the box has, and one process heap holds the whole embedding table.
+:class:`ServingPool` removes both bounds:
 
 * **N pre-forked workers.** The parent forks ``workers`` processes.
   Where the kernel supports it each worker opens its own
@@ -217,7 +217,7 @@ class ServingPool:
     service_config:
         Keyword arguments forwarded to every worker's
         :class:`~repro.serve.server.RecommendationService` (cache size,
-        deadline, batching window, ``scorer_threads``...).
+        deadline, ``scorer_threads``...).
     admission:
         Admission spec forwarded verbatim (see
         :func:`~repro.serve.admission.build_controllers`).

@@ -5,9 +5,9 @@ Endpoints
 ``GET /healthz``
     Liveness probe: status, index version, uptime.
 ``GET /recommend?group=G&k=K`` (also ``POST`` with a JSON body)
-    Top-K items for a group — micro-batched, cached, deadline-guarded
-    with popularity fallback.  The response names its ``source``
-    (``primary``, ``cache`` or ``fallback:*``).
+    Top-K items for a group — cached, deduplicated per group,
+    deadline-guarded with popularity fallback.  The response names its
+    ``source`` (``primary``, ``cache`` or ``fallback:*``).
 ``GET /explain?group=G&item=V``
     The SP/PI attention decomposition for one (group, item) pair —
     the paper's Fig. 6 interpretability report, served online.
@@ -57,7 +57,7 @@ class ServiceError(ValueError):
 
 
 class RecommendationService:
-    """The serving application: engine + cache + batching + fallback.
+    """The serving application: engine + cache + single flight + fallback.
 
     Parameters
     ----------
@@ -67,9 +67,6 @@ class RecommendationService:
         Score-vector LRU capacity (0 disables caching).
     deadline_ms:
         Per-request primary deadline (None disables).
-    batch_wait_ms / max_batch:
-        Micro-batching window for concurrent requests (0 wait disables
-        coalescing in practice but keeps the code path uniform).
     breaker:
         Optional custom circuit breaker (tests inject a fake clock).
     primary_override:
@@ -102,8 +99,6 @@ class RecommendationService:
         index,
         cache_capacity: int = 256,
         deadline_ms: float | None = 250.0,
-        batch_wait_ms: float = 2.0,
-        max_batch: int = 64,
         breaker: CircuitBreaker | None = None,
         primary_override=None,
         metrics: MetricsRegistry | None = None,
@@ -116,9 +111,7 @@ class RecommendationService:
         self._generation = 0  # guarded-by: _index_lock
         self.cache = ScoreCache(cache_capacity) if cache_capacity > 0 else None
         self.engine = RankingEngine(index, cache=self.cache)
-        self.batcher = MicroBatcher(
-            self.engine, max_wait_ms=batch_wait_ms, max_batch=max_batch
-        )
+        self.batcher = MicroBatcher(self.engine)
         primary = primary_override or self.batcher.scores_for_group
         self.resilient = ResilientScorer(
             primary,
@@ -157,12 +150,12 @@ class RecommendationService:
         self.metrics.gauge(
             "serve/batches_run",
             fn=lambda: self.batcher.batches_run,
-            help="micro-batches executed",
+            help="engine calls made by the per-group single flight",
         )
         self.metrics.gauge(
             "serve/batched_requests",
             fn=lambda: self.batcher.requests_served,
-            help="requests served through the micro-batcher",
+            help="requests those engine calls answered, joiners included",
         )
         self.metrics.gauge(
             "serve/breaker_open",
@@ -292,7 +285,7 @@ class RecommendationService:
             raise ServiceError("k must be positive")
         start = time.perf_counter()
         # One index per answer: the cache key, the scores, the seen mask
-        # and the version label.  The micro-batcher (and the popularity
+        # and the version label.  The single flight (and the popularity
         # fallback) score against the live index, so a reload that lands
         # while this read is in flight bumps the generation and the read
         # is scored again against the new index.
@@ -459,8 +452,8 @@ class RecommendationService:
 
         The resilient scorer closes first so post-close requests get
         fallback answers instead of racing into the batcher, then the
-        micro-batcher refuses new submissions while serving what is
-        already queued.
+        single flight refuses new misses while the flights in the air
+        land.
         """
         self.resilient.close()
         self.batcher.close()

@@ -226,10 +226,13 @@ class TestAnnotationDrivenTracking:
         from repro.serve.engine import MicroBatcher
         from repro.analysis.race_smoke import _StubEngine
 
-        batcher = MicroBatcher(_StubEngine(), max_wait_ms=0.1, max_batch=4)
+        # The single flight has no condition left: its one lock guards
+        # the flight table and counters, and joiners wait on per-flight
+        # events outside it.
+        batcher = MicroBatcher(_StubEngine())
         with RaceDetector() as detector:
             detector.track(batcher)
-            assert isinstance(batcher._condition._lock, AuditedLock)
+            assert isinstance(batcher._lock, AuditedLock)
 
             def worker():
                 for i in range(50):
@@ -238,5 +241,5 @@ class TestAnnotationDrivenTracking:
             hammer(worker)
             batcher.close()
         assert detector.ok, detector.report()
-        # Waiters released through the audited condition left no residue.
+        # Joiners released by their flights left no lock held.
         assert held_locks() == ()

@@ -117,7 +117,6 @@ def gated_service(index):
     svc = RecommendationService(
         index,
         deadline_ms=None,
-        batch_wait_ms=0.0,
         admission=AdmissionConfig(max_inflight=1, max_queue=0, queue_timeout_ms=50.0),
     )
     yield svc
@@ -146,7 +145,6 @@ class TestServiceIntegration:
         svc = RecommendationService(
             index,
             deadline_ms=None,
-            batch_wait_ms=0.0,
             admission={
                 "recommend": AdmissionConfig(max_inflight=1, max_queue=0)
             },
@@ -171,7 +169,6 @@ class TestHTTP429:
         svc = RecommendationService(
             index,
             deadline_ms=None,
-            batch_wait_ms=0.0,
             admission=AdmissionConfig(
                 max_inflight=1, max_queue=0, queue_timeout_ms=50.0, retry_after_s=3.0
             ),
@@ -201,7 +198,6 @@ class TestHTTP429:
         svc = RecommendationService(
             index,
             deadline_ms=None,
-            batch_wait_ms=0.0,
             admission=AdmissionConfig(max_inflight=1, max_queue=0),
         )
         server = RecommendationServer(svc, port=0).start()

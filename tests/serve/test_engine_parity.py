@@ -6,8 +6,8 @@ frozen index and ``GroupRecommender.recommend`` over the live model —
 share the engine's catalog path, so here they must equal each other
 item-for-item for every group and config switch, including the
 interacted-item exclusion mask; their round-off agreement with the tape
-is checked in ``tests/core/test_fused_training.py``.  Plus micro-batching
-correctness: a served row never depends on its batch neighbors.
+is checked in ``tests/core/test_fused_training.py``.  Plus the
+per-group single flight: concurrent misses of one group share one row.
 """
 
 import threading
@@ -17,6 +17,8 @@ import pytest
 
 from repro.core import KGAG, KGAGConfig, GroupRecommender
 from repro.serve import MicroBatcher, RankingEngine, ScoreCache, build_index
+
+from .test_single_flight import wait_for_joined
 
 
 @pytest.fixture(scope="module")
@@ -170,31 +172,47 @@ class TestBatchingAndCache:
             engine.scores_for_group(index.num_groups + 5)
 
     def test_micro_batcher_coalesces_concurrent_requests(self, index):
+        # Two misses per group arrive while every flight is held: each
+        # group is scored once and both of its requests get that row.
+        expected = {g: RankingEngine(index).scores_for_group(g) for g in range(4)}
         engine = RankingEngine(index, cache=ScoreCache(32))
-        batcher = MicroBatcher(engine, max_wait_ms=50.0, max_batch=8)
-        expected = {g: engine.scores_for_group(g) for g in range(4)}
-        results: dict[int, np.ndarray] = {}
+        batcher = MicroBatcher(engine)
+        gate = threading.Event()
+        score = engine.scores_for_groups
+
+        def held(group_ids):
+            gate.wait()
+            return score(group_ids)
+
+        engine.scores_for_groups = held
+        results: list[tuple[int, np.ndarray]] = []
         errors: list[Exception] = []
 
         def worker(group):
             try:
-                results[group] = batcher.scores_for_group(group)
+                results.append((group, batcher.scores_for_group(group)))
             except Exception as error:  # surfaced in the main thread
                 errors.append(error)
 
-        threads = [threading.Thread(target=worker, args=(g,)) for g in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
+        threads = [
+            threading.Thread(target=worker, args=(g,)) for g in range(4) for _ in range(2)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            assert wait_for_joined(batcher, len(threads))
+        finally:
+            gate.set()
+            for thread in threads:
+                thread.join(timeout=10)
         assert not errors
-        assert batcher.requests_served == 4
-        assert batcher.batches_run < 4  # at least one coalesced batch
-        for group, vector in results.items():
+        assert batcher.requests_served == 8
+        assert batcher.batches_run == 4  # one engine call per group
+        for group, vector in results:
             np.testing.assert_array_equal(vector, expected[group])
 
     def test_micro_batcher_propagates_errors(self, index):
         engine = RankingEngine(index)
-        batcher = MicroBatcher(engine, max_wait_ms=0.0)
+        batcher = MicroBatcher(engine)
         with pytest.raises(KeyError):
             batcher.scores_for_group(index.num_groups + 1)

@@ -187,7 +187,6 @@ class TestMmap:
                 EmbeddingIndex.load(artifact, mmap=True),
                 cache_capacity=0,
                 deadline_ms=None,
-                batch_wait_ms=0.0,
             )
             try:
                 answers.append(service.recommend(0, k=5)["items"])
@@ -207,7 +206,6 @@ class TestMmap:
                 EmbeddingIndex.load(artifact, mmap=mode),
                 cache_capacity=0,
                 deadline_ms=None,
-                batch_wait_ms=0.0,
             )
             try:
                 payloads[mode] = service.recommend(1, k=5)["items"]

@@ -23,6 +23,7 @@ from repro.analysis.racecheck import RaceDetector
 from repro.serve import (
     AdmissionConfig,
     EmbeddingIndex,
+    RankingEngine,
     RecommendationService,
     ServingPool,
     build_index,
@@ -31,9 +32,7 @@ from repro.serve import (
 from repro.serve.index import IndexError_
 
 # Small per-worker stacks: tests run several pools on one core.
-SERVICE_CONFIG = dict(
-    cache_capacity=32, deadline_ms=None, batch_wait_ms=0.0, scorer_threads=2
-)
+SERVICE_CONFIG = dict(cache_capacity=32, deadline_ms=None, scorer_threads=2)
 
 
 def _get_json(url):
@@ -150,38 +149,68 @@ def _burst(url, threads, per_thread):
     return results
 
 
+class _GatedScorer:
+    """Primary scorer for pool workers: each call waits for ``gate``.
+
+    Built in the parent and inherited by every forked worker, it scores
+    through its own engine over the artifact, so its answers are the
+    service's.
+    """
+
+    def __init__(self, artifact, gate):
+        self.engine = RankingEngine(EmbeddingIndex.load(artifact, mmap=True))
+        self.gate = gate
+
+    def __call__(self, group_id):
+        self.gate.wait()
+        return self.engine.scores_for_group(group_id)
+
+
 class TestAdmission:
     def test_burst_is_shed_with_retry_after_and_admitted_answers_match(
         self, artifact
     ):
         # One permit and no queue per worker: a burst of 8 concurrent
-        # clients must both shed and serve.  The 5 ms batching window
-        # gives every admitted request a real service time to contend
-        # for; batching never changes scores, so the served answers still
-        # equal the unbatched single-process reference.
+        # clients must both shed and serve.  Each worker's primary
+        # scorer is held until the fleet has shed a request, so admitted
+        # requests keep their permit while the rest of the burst
+        # arrives; holding never changes scores, so the served answers
+        # still equal the single-process reference.
         reference_service = RecommendationService(
             EmbeddingIndex.load(artifact, mmap=True),
             cache_capacity=0,
             deadline_ms=None,
-            batch_wait_ms=0.0,
         )
         try:
             reference = reference_service.recommend(1, k=5)["items"]
         finally:
             reference_service.close()
+        gate = multiprocessing.get_context("fork").Event()
         with _pool(
             artifact,
             service_config=dict(
                 cache_capacity=0,
                 deadline_ms=None,
-                batch_wait_ms=5.0,
                 scorer_threads=2,
+                primary_override=_GatedScorer(artifact, gate),
             ),
             admission=AdmissionConfig(
                 max_inflight=1, max_queue=0, queue_timeout_ms=50.0, retry_after_s=1.0
             ),
         ) as pool:
-            burst = _burst(f"{pool.url}/recommend?group=1&k=5", threads=8, per_thread=3)
+            burst = []
+            firing = threading.Thread(
+                target=lambda: burst.extend(
+                    _burst(f"{pool.url}/recommend?group=1&k=5", threads=8, per_thread=3)
+                )
+            )
+            firing.start()
+            try:
+                assert _poll(lambda: pool.stats()["aggregate"]["shed"] >= 1)
+            finally:
+                gate.set()
+                firing.join(timeout=60)
+            assert not firing.is_alive()
             served = [r for r in burst if r[0] == 200]
             shed = [r for r in burst if r[0] == 429]
             assert len(served) + len(shed) == len(burst), [r[0] for r in burst]
@@ -353,9 +382,7 @@ class TestSwapRaceFreedom:
         other = build_index(model, user_interactions=dataset.user_item)
         indexes = [index, other]
         assert indexes[0].version != indexes[1].version
-        service = RecommendationService(
-            index, cache_capacity=64, deadline_ms=None, batch_wait_ms=0.1
-        )
+        service = RecommendationService(index, cache_capacity=64, deadline_ms=None)
         valid = {ix.version for ix in indexes}
         errors = []
         num_readers = 6

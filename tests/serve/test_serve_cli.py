@@ -181,3 +181,33 @@ def test_serve_index_loads_no_training_stack(index_server):
         if any(name == banned or name.startswith(banned + ".") for banned in TRAINING_STACK)
     )
     assert loaded == []
+
+
+def test_recommend_index_ranks_without_the_training_stack(world):
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC_ROOT), os.environ.get("PYTHONPATH")])
+        ),
+    }
+    run = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, "recommend", "--index", str(world["artifact"]),
+         "--group", str(GROUP), "-k", "5", "--explain"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=STARTUP_TIMEOUT_S,
+    )
+    assert run.returncode == 0, run.stderr
+    ranked = [int(m) for m in re.findall(r"#\d+: item (\d+)", run.stdout)]
+    assert ranked == [item for item, _ in _expected(world)]
+    modules = json.loads(run.stdout.split("modules ", 1)[1])
+    loaded = sorted(
+        name
+        for name in modules
+        if any(
+            name == banned or name.startswith(banned + ".")
+            for banned in ("repro.core", "repro.data", "repro.eval", "repro.kg")
+        )
+    )
+    assert loaded == []

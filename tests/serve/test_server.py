@@ -21,17 +21,45 @@ from repro.serve.server import _as_bool
 
 @pytest.fixture()
 def service(index):
-    svc = RecommendationService(index, deadline_ms=None, batch_wait_ms=0.0)
+    svc = RecommendationService(index, deadline_ms=None)
     yield svc
     svc.close()
 
 
 @pytest.fixture()
 def server(index):
-    svc = RecommendationService(index, deadline_ms=None, batch_wait_ms=0.0)
+    svc = RecommendationService(index, deadline_ms=None)
     srv = RecommendationServer(svc, port=0).start()
     yield srv
     srv.stop()
+
+
+@pytest.fixture(scope="module")
+def other_index(index, dataset, split):
+    """A second index over other weights, and a group whose top-5 differs."""
+    from repro.core import KGAG, KGAGConfig
+    from repro.serve import RankingEngine, build_index
+
+    other_model = KGAG(
+        dataset.kg,
+        dataset.num_users,
+        dataset.num_items,
+        dataset.user_item.pairs,
+        dataset.groups,
+        KGAGConfig(embedding_dim=8, num_layers=2, num_neighbors=3, seed=12),
+    )
+    other = build_index(
+        other_model,
+        train_interactions=split.train,
+        user_interactions=dataset.user_item,
+    )
+    group = next(
+        g
+        for g in range(index.num_groups)
+        if [r.item for r in RankingEngine(index).top_k(g, k=5)]
+        != [r.item for r in RankingEngine(other).top_k(g, k=5)]
+    )
+    return other, group
 
 
 def _get(url):
@@ -115,46 +143,83 @@ class TestService:
         assert len(service.cache) == 0
         assert service.recommend(0, k=3)["source"] == "primary"
 
-    def test_reload_during_batch_wait_answers_from_one_index(
-        self, index, dataset, split
-    ):
-        # A reload that lands while the read waits in the micro-batcher
-        # used to label the new index's scores with the old version.
-        from repro.core import KGAG, KGAGConfig
-        from repro.serve import RankingEngine, build_index
+    def test_reload_during_a_miss_answers_from_one_index(self, index, other_index):
+        # A reload that lands while a miss is in the scorer used to label
+        # the new index's scores with the old version.
+        from repro.serve import RankingEngine
 
-        other_model = KGAG(
-            dataset.kg,
-            dataset.num_users,
-            dataset.num_items,
-            dataset.user_item.pairs,
-            dataset.groups,
-            KGAGConfig(embedding_dim=8, num_layers=2, num_neighbors=3, seed=12),
-        )
-        other = build_index(
-            other_model,
-            train_interactions=split.train,
-            user_interactions=dataset.user_item,
-        )
-        group = next(
-            g
-            for g in range(index.num_groups)
-            if [r.item for r in RankingEngine(index).top_k(g, k=5)]
-            != [r.item for r in RankingEngine(other).top_k(g, k=5)]
-        )
-        svc = RecommendationService(
-            index, cache_capacity=0, deadline_ms=None, batch_wait_ms=200.0
-        )
-        reload = threading.Timer(0.05, svc.reload_index, args=(other,))
+        other, group = other_index
+        svc = RecommendationService(index, cache_capacity=0, deadline_ms=None)
+        entered, gate = threading.Event(), threading.Event()
+        score = svc.engine.scores_for_groups
+
+        def held(group_ids):
+            # Hold the first miss after it joined its flight, before the
+            # engine reads the live index.
+            if not entered.is_set():
+                entered.set()
+                gate.wait()
+            return score(group_ids)
+
+        svc.engine.scores_for_groups = held
+        payload = {}
+        read = threading.Thread(target=lambda: payload.update(svc.recommend(group, k=5)))
         try:
-            reload.start()
-            payload = svc.recommend(group, k=5)
+            read.start()
+            assert entered.wait(timeout=10)
+            svc.reload_index(other)
         finally:
-            reload.join()
+            gate.set()
+            read.join(timeout=10)
             svc.close()
         assert payload["index_version"] == other.version
         expected = [r.item for r in RankingEngine(other).top_k(group, k=5)]
         assert [item["item"] for item in payload["items"]] == expected
+
+    def test_read_after_reload_never_gets_a_row_from_the_old_index(
+        self, index, other_index
+    ):
+        # A miss scored on the old index is still in the air when the
+        # reload lands; a read of the same group that starts after the
+        # reload must not take that row under the new version's label.
+        from repro.serve import RankingEngine
+
+        other, group = other_index
+        svc = RecommendationService(index, cache_capacity=0, deadline_ms=None)
+        entered, gate = threading.Event(), threading.Event()
+        score_matrix = svc.engine._score_matrix
+
+        def held(scored_index, group_ids):
+            if scored_index is index:
+                entered.set()
+                gate.wait()
+            return score_matrix(scored_index, group_ids)
+
+        svc.engine._score_matrix = held
+        answers = {}
+
+        def read(name):
+            answers[name] = svc.recommend(group, k=5)
+
+        old_read = threading.Thread(target=read, args=("old",))
+        new_read = threading.Thread(target=read, args=("new",))
+        try:
+            old_read.start()
+            assert entered.wait(timeout=10)
+            svc.reload_index(other)
+            new_read.start()
+            new_read.join(timeout=10)
+            assert not new_read.is_alive()
+        finally:
+            gate.set()
+            old_read.join(timeout=10)
+            new_read.join(timeout=10)
+            svc.close()
+        expected = [r.item for r in RankingEngine(other).top_k(group, k=5)]
+        for payload in answers.values():
+            assert payload["index_version"] == other.version
+            assert [item["item"] for item in payload["items"]] == expected
+        assert sorted(answers) == ["new", "old"]
 
     def test_stats_shape(self, service):
         service.recommend(0, k=2)
@@ -210,7 +275,7 @@ class TestService:
 
         registry = MetricsRegistry()
         svc = RecommendationService(
-            index, deadline_ms=None, batch_wait_ms=0.0, metrics=registry
+            index, deadline_ms=None, metrics=registry
         )
         try:
             svc.recommend(0, k=1)
@@ -406,19 +471,19 @@ class TestStopContract:
     """Bugfix 4: ``stop`` must report whether the serve thread exited."""
 
     def test_clean_stop_returns_true(self, index):
-        svc = RecommendationService(index, deadline_ms=None, batch_wait_ms=0.0)
+        svc = RecommendationService(index, deadline_ms=None)
         server = RecommendationServer(svc, port=0).start()
         _get(f"{server.url}/healthz")
         assert server.stop(timeout=5.0) is True
 
     def test_stop_before_start_does_not_block(self, index):
-        svc = RecommendationService(index, deadline_ms=None, batch_wait_ms=0.0)
+        svc = RecommendationService(index, deadline_ms=None)
         server = RecommendationServer(svc, port=0)
         # Pre-fix, shutdown() on a never-served server blocks forever.
         assert server.stop(timeout=1.0) is True
 
     def test_timed_out_join_is_reported_and_logged(self, index, caplog):
-        svc = RecommendationService(index, deadline_ms=None, batch_wait_ms=0.0)
+        svc = RecommendationService(index, deadline_ms=None)
         server = RecommendationServer(svc, port=0).start()
         real = server._thread
         release = threading.Event()
@@ -435,7 +500,7 @@ class TestStopContract:
             real.join(timeout=5.0)
 
     def test_stop_with_wedged_handler_does_not_hang(self, index):
-        svc = RecommendationService(index, deadline_ms=None, batch_wait_ms=0.0)
+        svc = RecommendationService(index, deadline_ms=None)
         server = RecommendationServer(svc, port=0).start()
         entered = threading.Event()
         release = threading.Event()

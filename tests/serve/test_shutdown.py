@@ -7,6 +7,7 @@ with a valid answer or a deliberate exception.
 """
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +21,18 @@ NUM_ITEMS = 16
 
 class _StubEngine:
     num_items = NUM_ITEMS
+    index = SimpleNamespace(version="stub")
+
+    def __init__(self, gate=None):
+        # With a gate, every engine call signals ``entered`` and blocks
+        # until the gate opens: a flight stays in the air on demand.
+        self.gate = gate
+        self.entered = threading.Event()
 
     def scores_for_groups(self, group_ids):
+        if self.gate is not None:
+            self.entered.set()
+            self.gate.wait()
         base = np.arange(NUM_ITEMS, dtype=np.float64)
         return np.stack([base + float(g) for g in group_ids])
 
@@ -82,19 +93,19 @@ class TestResilientScorerClose:
 
 class TestMicroBatcherClose:
     def test_close_is_idempotent(self):
-        batcher = MicroBatcher(_StubEngine(), max_wait_ms=0.0)
+        batcher = MicroBatcher(_StubEngine())
         batcher.close()
         batcher.close()
         assert batcher.closed
 
     def test_submit_after_close_raises(self):
-        batcher = MicroBatcher(_StubEngine(), max_wait_ms=0.0)
+        batcher = MicroBatcher(_StubEngine())
         batcher.close()
         with pytest.raises(RuntimeError, match="closed"):
             batcher.scores_for_group(0)
 
     def test_concurrent_close_vs_submit_never_strands_a_waiter(self):
-        batcher = MicroBatcher(_StubEngine(), max_wait_ms=0.5, max_batch=8)
+        batcher = MicroBatcher(_StubEngine())
         release = threading.Event()
         served = []
         refused = []
@@ -127,7 +138,9 @@ class TestMicroBatcherClose:
             assert scores.shape == (NUM_ITEMS,)
 
     def test_pending_requests_complete_when_closed_mid_window(self):
-        batcher = MicroBatcher(_StubEngine(), max_wait_ms=200.0, max_batch=64)
+        gate = threading.Event()
+        engine = _StubEngine(gate)
+        batcher = MicroBatcher(engine)
         result = {}
 
         def submitter():
@@ -135,9 +148,11 @@ class TestMicroBatcherClose:
 
         t = threading.Thread(target=submitter)
         t.start()
-        # The leader is waiting out its window; close() wakes it early
-        # and the queued request still gets its row.
+        # The flight is in the air (its engine call is held); close()
+        # refuses new work but the in-flight request still gets its row.
+        assert engine.entered.wait(timeout=10)
         batcher.close()
+        gate.set()
         t.join(timeout=10)
         assert not t.is_alive()
         assert result["scores"][0] == 5.0
@@ -145,7 +160,7 @@ class TestMicroBatcherClose:
 
 class TestServiceClose:
     def test_service_close_closes_both_layers(self, index):
-        service = RecommendationService(index, deadline_ms=None, batch_wait_ms=0.0)
+        service = RecommendationService(index, deadline_ms=None)
         service.recommend(0, k=3)
         service.close()
         assert service.resilient.closed
@@ -153,7 +168,7 @@ class TestServiceClose:
         service.close()  # idempotent
 
     def test_recommend_after_close_degrades_not_crashes(self, index):
-        service = RecommendationService(index, deadline_ms=None, batch_wait_ms=0.0)
+        service = RecommendationService(index, deadline_ms=None)
         service.close()
         payload = service.recommend(0, k=3)
         assert payload["source"] == "fallback:closed"

@@ -55,9 +55,7 @@ def _three_indexes(dataset, split, state, config):
 
 def test_concurrent_swaps_are_race_free(dataset, split, state, config):
     indexes = _three_indexes(dataset, split, state, config)
-    service = RecommendationService(
-        indexes[0], deadline_ms=None, batch_wait_ms=0.1
-    )
+    service = RecommendationService(indexes[0], deadline_ms=None)
     installed = {indexes[0].version}
     errors = []
     bad_versions = []
