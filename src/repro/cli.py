@@ -424,6 +424,13 @@ def _restore(args):
     so ``evaluate`` / ``build-index`` / ``serve`` can run straight off a
     training run's checkpoint directory.
     """
+    dataset, split, model, _ = _restore_with_state(args)
+    return dataset, split, model
+
+
+def _restore_with_state(args):
+    """:func:`_restore` plus the loaded ``TrainState`` (None for a plain
+    model checkpoint), so a caller that needs both reads the file once."""
     from .core import KGAGConfig
     from .nn.serialization import load_checkpoint, read_npz_archive
 
@@ -435,13 +442,15 @@ def _restore(args):
     valid = {f for f in KGAGConfig.__dataclass_fields__}
     config = KGAGConfig(**{k: v for k, v in config_dict.items() if k in valid})
     model = _build_model(dataset, config)
+    state = None
     if metadata.get("kind") == "train_state":
         from .core.checkpoint import TrainState
 
-        TrainState.load(path).load_model(model)
+        state = TrainState.load(path)
+        state.load_model(model)
     else:
         load_checkpoint(model, path)
-    return dataset, split, model
+    return dataset, split, model, state
 
 
 def _checkpoint_path(path: str) -> Path:
@@ -545,22 +554,20 @@ def _cmd_build_index(args) -> int:
     return 0
 
 
-def _train_state_for(checkpoint: str, dataset, split, model):
+def _train_state_for(state, dataset, split, model):
     """A warm :class:`TrainState` for the streaming path.
 
-    A ``TrainState`` checkpoint is loaded as-is (optimizer moments and
-    RNG streams intact).  A plain model checkpoint gets a fresh trainer
+    A ``TrainState`` checkpoint (``state``, as :func:`_restore_with_state`
+    loaded it) is used as-is (optimizer moments and RNG streams intact).
+    A plain model checkpoint (``state`` None) gets a fresh trainer
     captured around the restored weights — fine-tuning then starts with
     cold Adam moments, exactly like resuming from a weights-only export.
     """
+    if state is not None:
+        return state
     from .core import KGAGTrainer
     from .core.checkpoint import TrainState
-    from .nn.serialization import read_npz_archive
 
-    path = _checkpoint_path(checkpoint)
-    _, metadata = read_npz_archive(path)
-    if (metadata or {}).get("kind") == "train_state":
-        return TrainState.load(path)
     trainer = KGAGTrainer(model, split.train, dataset.user_item, split.validation)
     return TrainState.capture(trainer, epoch=-1)
 
@@ -649,7 +656,7 @@ def _cmd_serve(args) -> int:
     if args.index:
         index = EmbeddingIndex.load(args.index, mmap=args.mmap)
     elif args.data and args.checkpoint:
-        dataset, split, model = _restore(args)
+        dataset, split, model, checkpoint_state = _restore_with_state(args)
         index = build_index(
             model, train_interactions=split.train, user_interactions=dataset.user_item
         )
@@ -673,7 +680,7 @@ def _cmd_serve(args) -> int:
     if args.watch_deltas:
         from .stream import DeltaFeedWatcher, OnlineUpdater
 
-        state = _train_state_for(args.checkpoint, dataset, split, model)
+        state = _train_state_for(checkpoint_state, dataset, split, model)
         updater = OnlineUpdater(
             service,
             dataset,

@@ -58,9 +58,9 @@ class GroupSet:
             raise ValueError("groups must have at least two members")
         if array.size and (array.min() < 0 or array.max() >= num_users):
             raise ValueError("member id out of range")
-        for row in array:
-            if len(np.unique(row)) != len(row):
-                raise ValueError("group members must be distinct")
+        ordered = np.sort(array, axis=1)
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
+            raise ValueError("group members must be distinct")
         self.members = array
         self.num_users = int(num_users)
 

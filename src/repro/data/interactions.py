@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kg.graph import row_keys, unique_rows
+
 __all__ = ["InteractionTable", "RatingsTable"]
 
 
@@ -22,6 +24,11 @@ class InteractionTable:
     pairs:
         ``(n, 2)`` array-like of ``(row, col)`` indices with implicit
         feedback ``y = 1``.  Duplicates are removed.
+
+    The table keeps the sorted pairs and their sorted int64 keys
+    ``row * num_cols + col`` (:func:`~repro.kg.graph.row_keys`); per-row
+    lookups and membership tests binary-search those keys instead of
+    building per-row dicts or sets.
     """
 
     def __init__(self, num_rows: int, num_cols: int, pairs):
@@ -39,8 +46,9 @@ class InteractionTable:
                 raise ValueError("row index out of range")
             if array[:, 1].min() < 0 or array[:, 1].max() >= num_cols:
                 raise ValueError("col index out of range")
-        self._pairs = np.unique(array, axis=0)
-        self._by_row: dict[int, np.ndarray] | None = None
+        self._pairs, self._keys = unique_rows(array, (self.num_rows, self.num_cols))
+        if self._keys is None:
+            raise ValueError("num_rows * num_cols exceeds the int64 key range")
 
     # -- views -----------------------------------------------------------
     @property
@@ -56,17 +64,41 @@ class InteractionTable:
         return self.num_interactions
 
     def __contains__(self, pair) -> bool:
-        row, col = int(pair[0]), int(pair[1])
-        return col in set(self.items_of(row))
+        return bool(self.contains([int(pair[0])], [int(pair[1])])[0])
+
+    def contains(self, rows, cols) -> np.ndarray:
+        """Boolean mask: is ``(rows[i], cols[i])`` a stored pair?
+
+        Vectorized membership by binary search over the sorted pair keys;
+        ids outside the table's shape are never members.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if not len(self._keys):
+            return np.zeros(rows.shape, dtype=bool)
+        inside = (rows >= 0) & (rows < self.num_rows)
+        inside &= (cols >= 0) & (cols < self.num_cols)
+        keys = row_keys((rows, cols), (self.num_rows, self.num_cols))
+        positions = np.searchsorted(self._keys, keys)
+        return inside & (self._keys.take(positions, mode="clip") == keys)
 
     def items_of(self, row: int) -> np.ndarray:
-        """Columns interacted-with by ``row`` (a user's or group's items)."""
-        if self._by_row is None:
-            index: dict[int, list[int]] = {}
-            for r, c in self._pairs:
-                index.setdefault(int(r), []).append(int(c))
-            self._by_row = {r: np.array(sorted(cs), dtype=np.int64) for r, cs in index.items()}
-        return self._by_row.get(int(row), np.zeros(0, dtype=np.int64))
+        """Columns interacted-with by ``row`` (a user's or group's items).
+
+        A read-only, sorted view of the pairs' column at the row's
+        offsets, found by binary search over the pair keys (the row's
+        keys span ``[row * num_cols, (row + 1) * num_cols)``); rows with
+        no pairs (or outside ``[0, num_rows)``) get an empty array.
+        """
+        row = int(row)
+        if not 0 <= row < self.num_rows:
+            return np.zeros(0, dtype=np.int64)
+        start, stop = np.searchsorted(
+            self._keys, (row * self.num_cols, (row + 1) * self.num_cols)
+        )
+        items = self._pairs[start:stop, 1]
+        items.flags.writeable = False
+        return items
 
     def rows_of(self, col: int) -> np.ndarray:
         """Rows that interacted with ``col``."""
@@ -75,11 +107,8 @@ class InteractionTable:
 
     def row_counts(self) -> np.ndarray:
         """Number of interactions per row."""
-        counts = np.zeros(self.num_rows, dtype=np.int64)
-        if len(self._pairs):
-            uniq, freq = np.unique(self._pairs[:, 0], return_counts=True)
-            counts[uniq] = freq
-        return counts
+        counts = np.bincount(self._pairs[:, 0], minlength=self.num_rows)
+        return counts.astype(np.int64, copy=False)
 
     def density(self) -> float:
         """Fraction of filled cells — the sparsity the paper battles."""

@@ -29,6 +29,10 @@ class NegativeSampler:
         Rejection-sampling budget per draw.  Draws still colliding after
         it come from the row's complement; rows that have consumed the
         whole item vocabulary fall back to uniform sampling.
+
+    Collisions are tested with :meth:`InteractionTable.contains`, a
+    binary search over the table's sorted pair keys; the sampler keeps
+    no per-row sets.
     """
 
     def __init__(
@@ -41,10 +45,6 @@ class NegativeSampler:
         self.num_items = table.num_cols
         self.rng = ensure_rng(rng)
         self.max_resamples = max_resamples
-        self._positives = {
-            int(row): set(table.items_of(row).tolist())
-            for row in np.unique(table.pairs[:, 0])
-        } if table.num_interactions else {}
 
     def rng_state(self) -> dict:
         """JSON-serializable snapshot of the sampler's generator state."""
@@ -55,28 +55,30 @@ class NegativeSampler:
         set_generator_state(self.rng, state)
 
     def sample_for_rows(self, rows) -> np.ndarray:
-        """One negative item per row id (vectorized rejection sampling)."""
+        """One negative item per row id (vectorized rejection sampling).
+
+        Each attempt re-tests only the positions that collided last time
+        (the others keep their draw), so the generator sees the same
+        calls as a full re-test would make.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         negatives = self.rng.integers(0, self.num_items, size=len(rows))
+        pending = np.arange(len(rows))
         for attempt in range(self.max_resamples):
-            collisions = np.array(
-                [
-                    item in self._positives.get(int(row), ())
-                    for row, item in zip(rows, negatives)
-                ]
-            )
-            if not collisions.any():
+            pending = pending[self.table.contains(rows[pending], negatives[pending])]
+            if not len(pending):
                 break
-            negatives[collisions] = self.rng.integers(
-                0, self.num_items, size=int(collisions.sum())
+            negatives[pending] = self.rng.integers(
+                0, self.num_items, size=len(pending)
             )
         else:
             # Budget spent: draw what still collides from the row's
             # complement, unless the row has no item left to avoid.
-            for position, (row, item) in enumerate(zip(rows, negatives)):
-                positives = self._positives.get(int(row), ())
-                if item in positives and len(positives) < self.num_items:
-                    free = np.setdiff1d(np.arange(self.num_items), list(positives))
+            pending = pending[self.table.contains(rows[pending], negatives[pending])]
+            for position in pending.tolist():
+                positives = self.table.items_of(rows[position])
+                if len(positives) < self.num_items:
+                    free = np.setdiff1d(np.arange(self.num_items), positives)
                     negatives[position] = free[self.rng.integers(len(free))]
         return negatives
 

@@ -43,7 +43,6 @@ class ItemEntityMap:
         if len(np.unique(array)) != len(array):
             raise ValueError("item->entity map must be injective")
         self._forward = array
-        self._backward = {int(e): i for i, e in enumerate(array)}
 
     @property
     def num_items(self) -> int:
@@ -58,8 +57,13 @@ class ItemEntityMap:
         return self._forward[np.asarray(items, dtype=np.int64)]
 
     def item_of(self, entity: int) -> int | None:
-        """Item id for ``entity``, or None if the entity is not an item."""
-        return self._backward.get(int(entity))
+        """Item id for ``entity``, or None if the entity is not an item.
+
+        A scan of the forward map: no inverse is kept, since nothing on
+        the build, training or serving path asks for one.
+        """
+        hits = np.flatnonzero(self._forward == int(entity))
+        return int(hits[0]) if len(hits) else None
 
     @classmethod
     def identity(cls, num_items: int) -> "ItemEntityMap":

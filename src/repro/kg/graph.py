@@ -2,24 +2,89 @@
 
 The paper represents a knowledge graph as a set of (head, relation, tail)
 triples over integer-identified entities and relations (Sec. III-A).
-:class:`KnowledgeGraph` stores the triples in numpy arrays and maintains an
-adjacency index for the GCN propagation code.
+:class:`KnowledgeGraph` stores the triples as one sorted int64 array and
+answers neighborhood queries from it; the GCN propagation code reads the
+fixed-K tables that :class:`~repro.kg.sampling.NeighborSampler` draws from
+the same array.
 
 Following KGCN/KGAT practice, the graph is treated as *bidirectional* for
-message passing: for every stored triple ``(h, r, t)`` the adjacency also
-contains the reverse edge ``t --r--> h`` (with the same relation id), so
-information can flow both ways along a fact.
+message passing: every stored triple ``(h, r, t)`` is also the reverse
+edge ``t --r--> h`` (with the same relation id), so information can flow
+both ways along a fact.
+
+This module also owns the mixed-radix row keys (:func:`row_keys`) that
+:mod:`repro.data.interactions` deduplicates and searches pairs with.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["Triple", "KnowledgeGraph"]
+__all__ = ["Triple", "KnowledgeGraph", "row_keys", "unique_rows"]
+
+_INT64_SPAN = 1 << 63  # keys run over [0, span); int64 holds [0, 2**63)
+
+
+def row_keys(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray | None:
+    """One int64 key per row, from the row's int64 ``columns``.
+
+    Column ``j`` must lie in ``[0, sizes[j])``.  The mixed-radix key
+    ``((c0 * s1 + c1) * s2 + c2) ...`` sorts exactly as the rows sort
+    lexicographically, and equal keys are equal rows.  Returns None when
+    ``prod(sizes)`` exceeds the int64 range.
+    """
+    span = 1
+    for size in sizes:
+        span *= int(size)
+    if span > _INT64_SPAN:
+        return None
+    keys = np.asarray(columns[0], dtype=np.int64).copy()
+    for column, size in zip(columns[1:], sizes[1:]):
+        keys *= int(size)
+        keys += column
+    return keys
+
+
+def unique_rows(
+    rows: np.ndarray, sizes: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(np.unique(rows, axis=0), sorted keys)`` through :func:`row_keys`.
+
+    Sorting one int64 key per row is several times faster and smaller
+    than ``np.unique(axis=0)``'s row sort, and gives the same rows in the
+    same order.  Past the int64 key range it falls back to
+    ``np.unique(axis=0)`` and returns None for the keys.
+    """
+    keys = row_keys(rows.T, sizes)
+    if keys is None:
+        return np.unique(rows, axis=0), None
+    keys = np.unique(keys)
+    out = np.empty((len(keys), len(sizes)), dtype=np.int64)
+    rest = keys
+    for column in range(len(sizes) - 1, 0, -1):
+        rest, out[:, column] = np.divmod(rest, int(sizes[column]))
+    out[:, 0] = rest
+    return out, keys
+
+
+def _triple_array(triples) -> np.ndarray:
+    """``(n, 3)`` int64 array from an array, or an iterable of tuples/Triples."""
+    if isinstance(triples, np.ndarray):
+        array = triples.astype(np.int64, copy=False)
+    else:
+        rows = [
+            (t.head, t.relation, t.tail) if isinstance(t, Triple) else t
+            for t in triples
+        ]
+        array = np.array(rows, dtype=np.int64)
+    if array.size == 0:
+        return np.zeros((0, 3), dtype=np.int64)
+    if array.ndim != 2 or array.shape[1] != 3:
+        raise ValueError("triples must be (head, relation, tail) rows")
+    return array
 
 
 @dataclass(frozen=True)
@@ -36,7 +101,7 @@ class Triple:
 
 
 class KnowledgeGraph:
-    """Immutable triple store with an adjacency index.
+    """Immutable triple store over one sorted int64 triple array.
 
     Parameters
     ----------
@@ -46,12 +111,14 @@ class KnowledgeGraph:
         Size of the relation vocabulary; relation ids are
         ``[0, num_relations)``.
     triples:
-        Iterable of ``(head, relation, tail)`` tuples (or :class:`Triple`).
+        ``(n, 3)`` int array of ``(head, relation, tail)`` rows, or an
+        iterable of such tuples (or :class:`Triple`).  Duplicates are
+        removed.
     entity_names / relation_names:
         Optional human-readable labels used by explanations and examples.
     bidirectional:
-        If True (default) the adjacency index includes reverse edges.
-        The stored triple list is unaffected.
+        If True (default) neighborhoods include reverse edges.  The
+        stored triple array is unaffected.
 
     Examples
     --------
@@ -79,27 +146,11 @@ class KnowledgeGraph:
         self.entity_names = dict(entity_names or {})
         self.relation_names = dict(relation_names or {})
 
-        rows = []
-        for triple in triples:
-            if isinstance(triple, Triple):
-                head, relation, tail = triple.head, triple.relation, triple.tail
-            else:
-                head, relation, tail = triple
-            rows.append((int(head), int(relation), int(tail)))
-        if rows:
-            array = np.array(rows, dtype=np.int64)
-        else:
-            array = np.zeros((0, 3), dtype=np.int64)
+        array = _triple_array(triples)
         self._validate(array)
-        # Deduplicate to keep adjacency weights unbiased.
-        self._triples = np.unique(array, axis=0) if len(array) else array
-
-        adjacency: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        for head, relation, tail in self._triples:
-            adjacency[int(head)].append((int(relation), int(tail)))
-            if self.bidirectional and head != tail:
-                adjacency[int(tail)].append((int(relation), int(head)))
-        self._adjacency = {k: tuple(v) for k, v in adjacency.items()}
+        # Deduplicate to keep neighbor sampling unbiased.
+        sizes = (self.num_entities, self.num_relations, self.num_entities)
+        self._triples, _ = unique_rows(array, sizes)
 
     def _validate(self, array: np.ndarray) -> None:
         if len(array) == 0:
@@ -141,20 +192,56 @@ class KnowledgeGraph:
         matches = (self._triples == np.array(key, dtype=np.int64)).all(axis=1)
         return bool(matches.any())
 
+    def _incident(self, entity: int) -> np.ndarray:
+        """Sorted positions of the triples that give ``entity`` neighbors.
+
+        Its own triples (a contiguous block: rows sort by head) plus, on
+        a bidirectional graph, every triple it is the tail of.
+        """
+        heads = self._triples[:, 0]
+        if self.bidirectional:
+            return np.flatnonzero((heads == entity) | (self._triples[:, 2] == entity))
+        start, stop = np.searchsorted(heads, (entity, entity + 1))
+        return np.arange(start, stop)
+
     def neighbors(self, entity: int) -> tuple[tuple[int, int], ...]:
-        """All ``(relation, neighbor)`` pairs of ``entity`` (N_e in Eq. 1)."""
-        return self._adjacency.get(int(entity), ())
+        """All ``(relation, neighbor)`` pairs of ``entity`` (N_e in Eq. 1).
+
+        One pair per incident triple, in sorted triple order: ``(r, t)``
+        where ``entity`` is the head, ``(r, h)`` where it is the tail
+        (a self-loop counts once).  Read from the triple array on each
+        call; no adjacency is stored.
+        """
+        entity = int(entity)
+        rows = self._triples[self._incident(entity)]
+        others = np.where(rows[:, 0] == entity, rows[:, 2], rows[:, 0])
+        return tuple(zip(rows[:, 1].tolist(), others.tolist()))
 
     def degree(self, entity: int) -> int:
-        """Number of adjacency edges incident to ``entity``."""
-        return len(self.neighbors(entity))
+        """Number of neighborhood edges incident to ``entity``."""
+        return len(self._incident(int(entity)))
 
     def degrees(self) -> np.ndarray:
         """Degree of every entity, shape ``(num_entities,)``."""
-        out = np.zeros(self.num_entities, dtype=np.int64)
-        for entity, edges in self._adjacency.items():
-            out[entity] = len(edges)
-        return out
+        out = np.bincount(self.edges()[0], minlength=self.num_entities)
+        return out.astype(np.int64, copy=False)
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat ``(src, dst, relation)`` arrays of every neighborhood edge.
+
+        One forward edge per triple plus — on bidirectional graphs — a
+        reverse edge whenever head and tail differ; ``src == e`` selects
+        exactly the edges behind :meth:`neighbors` of ``e``.
+        """
+        heads, relations, tails = self._triples.T
+        if not self.bidirectional:
+            return heads, tails, relations
+        reverse = heads != tails
+        return (
+            np.concatenate([heads, tails[reverse]]),
+            np.concatenate([tails, heads[reverse]]),
+            np.concatenate([relations, relations[reverse]]),
+        )
 
     def entity_name(self, entity: int) -> str:
         """Readable label for ``entity`` (falls back to ``entity:<id>``)."""
@@ -180,22 +267,27 @@ class KnowledgeGraph:
     def bfs_distances(self, source: int, max_hops: int | None = None) -> dict[int, int]:
         """Hop distance from ``source`` to every reachable entity.
 
-        Uses the (possibly bidirectional) adjacency index — i.e. the same
-        connectivity the GCN propagation sees.
+        Follows the (possibly bidirectional) edges of :meth:`neighbors` —
+        i.e. the same connectivity the GCN propagation sees.
         """
-        distances = {int(source): 0}
-        frontier = [int(source)]
+        source = int(source)
+        if not 0 <= source < self.num_entities:
+            return {source: 0}
+        src, dst, _ = self.edges()
+        hops_to = np.full(self.num_entities, -1, dtype=np.int64)
+        hops_to[source] = 0
+        frontier = np.zeros(self.num_entities, dtype=bool)
+        frontier[source] = True
         hops = 0
-        while frontier and (max_hops is None or hops < max_hops):
+        while frontier.any() and (max_hops is None or hops < max_hops):
             hops += 1
-            next_frontier = []
-            for entity in frontier:
-                for _, neighbor in self.neighbors(entity):
-                    if neighbor not in distances:
-                        distances[neighbor] = hops
-                        next_frontier.append(neighbor)
-            frontier = next_frontier
-        return distances
+            reached = dst[frontier[src]]
+            reached = reached[hops_to[reached] < 0]
+            frontier[:] = False
+            frontier[reached] = True
+            hops_to[reached] = hops
+        found = np.flatnonzero(hops_to >= 0)
+        return dict(zip(found.tolist(), hops_to[found].tolist()))
 
     def connected_within(self, a: int, b: int, max_hops: int) -> bool:
         """Whether ``b`` is reachable from ``a`` in at most ``max_hops`` steps."""
@@ -203,11 +295,8 @@ class KnowledgeGraph:
 
     def relation_histogram(self) -> np.ndarray:
         """Triple count per relation id."""
-        counts = np.zeros(self.num_relations, dtype=np.int64)
-        if self.num_triples:
-            uniq, freq = np.unique(self._triples[:, 1], return_counts=True)
-            counts[uniq] = freq
-        return counts
+        counts = np.bincount(self._triples[:, 1], minlength=self.num_relations)
+        return counts.astype(np.int64, copy=False)
 
     def describe(self) -> dict[str, float]:
         """Summary statistics (used by the Table I harness)."""

@@ -114,40 +114,18 @@ class NeighborSampler:
             (count, k), self.self_relation, dtype=np.int64
         )
 
-        src, dst, edge_rel = self._edge_arrays(kg)
+        # The graph's edges, sorted by source (forward edges first).
+        src, dst, edge_rel = kg.edges()
         if len(src) == 0:
             return
+        order = np.argsort(src, kind="stable")
+        src, dst, edge_rel = src[order], dst[order], edge_rel[order]
         degrees = np.bincount(src, minlength=count)
         offsets = np.concatenate(([0], np.cumsum(degrees)))
         if self.stratify_by_relation:
             self._fill_stratified(src, dst, edge_rel, degrees, offsets, k, rng)
         else:
             self._fill_uniform(dst, edge_rel, degrees, offsets, k, rng)
-
-    @staticmethod
-    def _edge_arrays(
-        kg: KnowledgeGraph,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat ``(src, dst, relation)`` edge arrays, sorted by source.
-
-        Mirrors the graph's adjacency index: one forward edge per triple
-        plus — on bidirectional graphs — a reverse edge whenever head and
-        tail differ.
-        """
-        triples = kg.triples
-        if len(triples) == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, empty
-        heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
-        if kg.bidirectional:
-            rev = heads != tails
-            src = np.concatenate([heads, tails[rev]])
-            dst = np.concatenate([tails, heads[rev]])
-            edge_rel = np.concatenate([rels, rels[rev]])
-        else:
-            src, dst, edge_rel = heads, tails, rels
-        order = np.argsort(src, kind="stable")
-        return src[order], dst[order], edge_rel[order]
 
     def _fill_uniform(
         self,

@@ -367,9 +367,9 @@ class LiveModelIndex:
         """Items the group interacted with at train time (sorted).
 
         Reads :meth:`~repro.data.interactions.InteractionTable.items_of`,
-        whose lazy per-row table is built from deduplicated, sorted
-        pairs by one attribute store: threads that race to build it
-        build equal tables, so no lock is needed.  A view built without
+        a read-only view of the table's sorted pairs found by binary
+        search; the table is immutable and keeps no lazily built state,
+        so no lock is needed.  A view built without
         ``train_interactions`` cannot tell seen items from unseen ones,
         so it raises ``ValueError`` rather than exclude nothing.
         """

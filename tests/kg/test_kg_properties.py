@@ -1,9 +1,17 @@
 """Property-based tests (hypothesis) for knowledge-graph invariants."""
 
+import tracemalloc
+from collections import defaultdict
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.kg import KnowledgeGraph, NeighborSampler, random_kg
+from repro.kg import KnowledgeGraph, NeighborSampler, Triple, random_kg
+
+# Allocation bound for building a KnowledgeGraph from an int64 array
+# (test_build_memory_stays_near_the_triple_array): ~1.8x the measured
+# 56 B/triple, far below a per-triple Python adjacency (~430 B/triple).
+MAX_BUILD_BYTES_PER_TRIPLE = 100
 
 
 @st.composite
@@ -109,3 +117,147 @@ def test_random_kg_respects_bounds():
     kg = random_kg(10, 2, 50, rng=np.random.default_rng(0))
     assert kg.triples[:, 0].max() < 10
     assert kg.triples[:, 1].max() < 2
+
+
+# ---------------------------------------------------------------------------
+# Parity with the per-triple loops the store used to run.  The oracles
+# below are the former constructor, adjacency and degree code, kept
+# verbatim as the reference for the array implementation.
+# ---------------------------------------------------------------------------
+
+
+def _loop_graph(triples, bidirectional):
+    """``(unique triples, adjacency dict)`` as the per-triple loops built them."""
+    rows = []
+    for triple in triples:
+        if isinstance(triple, Triple):
+            head, relation, tail = triple.head, triple.relation, triple.tail
+        else:
+            head, relation, tail = triple
+        rows.append((int(head), int(relation), int(tail)))
+    if rows:
+        array = np.array(rows, dtype=np.int64)
+    else:
+        array = np.zeros((0, 3), dtype=np.int64)
+    unique = np.unique(array, axis=0) if len(array) else array
+    adjacency = defaultdict(list)
+    for head, relation, tail in unique:
+        adjacency[int(head)].append((int(relation), int(tail)))
+        if bidirectional and head != tail:
+            adjacency[int(tail)].append((int(relation), int(head)))
+    return unique, {k: tuple(v) for k, v in adjacency.items()}
+
+
+def _loop_degrees(adjacency, num_entities):
+    out = np.zeros(num_entities, dtype=np.int64)
+    for entity, edges in adjacency.items():
+        out[entity] = len(edges)
+    return out
+
+
+def _loop_bfs(adjacency, source, max_hops=None):
+    distances = {int(source): 0}
+    frontier = [int(source)]
+    hops = 0
+    while frontier and (max_hops is None or hops < max_hops):
+        hops += 1
+        next_frontier = []
+        for entity in frontier:
+            for _, neighbor in adjacency.get(entity, ()):
+                if neighbor not in distances:
+                    distances[neighbor] = hops
+                    next_frontier.append(neighbor)
+        frontier = next_frontier
+    return distances
+
+
+INPUT_FORMS = ("array", "list", "generator", "triples")
+
+
+def _as_form(rows, form):
+    if form == "array":
+        return np.array(rows, dtype=np.int64).reshape(-1, 3)
+    if form == "list":
+        return list(rows)
+    if form == "generator":
+        return (row for row in rows)
+    return [Triple(*row) for row in rows]
+
+
+@st.composite
+def triple_lists(draw):
+    """Small vocabularies, so duplicates and self-loops are common."""
+    num_entities = draw(st.integers(1, 8))
+    num_relations = draw(st.integers(1, 3))
+    triple = st.tuples(
+        st.integers(0, num_entities - 1),
+        st.integers(0, num_relations - 1),
+        st.integers(0, num_entities - 1),
+    )
+    rows = draw(st.lists(triple, max_size=30))
+    return num_entities, num_relations, rows
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(triple_lists(), st.sampled_from(INPUT_FORMS), st.booleans())
+def test_store_matches_the_per_triple_loops(spec, form, bidirectional):
+    num_entities, num_relations, rows = spec
+    kg = KnowledgeGraph(
+        num_entities, num_relations, _as_form(rows, form), bidirectional=bidirectional
+    )
+    unique, adjacency = _loop_graph(rows, bidirectional)
+    assert kg.triples.dtype == np.int64
+    np.testing.assert_array_equal(kg.triples, unique)
+    assert kg.triples.shape == unique.shape
+    for entity in range(-1, num_entities + 1):
+        assert kg.neighbors(entity) == adjacency.get(entity, ())
+        assert kg.degree(entity) == len(adjacency.get(entity, ()))
+    expected = _loop_degrees(adjacency, num_entities)
+    assert kg.degrees().dtype == np.int64
+    np.testing.assert_array_equal(kg.degrees(), expected)
+    described = kg.describe()
+    assert described["mean_degree"] == float(expected.mean())
+    assert described["max_degree"] == int(expected.max())
+    assert described["isolated_entities"] == int((expected == 0).sum())
+    for source in range(num_entities):
+        assert kg.bfs_distances(source) == _loop_bfs(adjacency, source)
+        assert kg.bfs_distances(source, max_hops=1) == _loop_bfs(adjacency, source, 1)
+
+
+def test_store_past_the_int64_key_range_matches_the_loops():
+    """(h·R + r)·E + t overflows int64 here, so the store takes the
+    ``np.unique(axis=0)`` path; triples and neighborhoods must not change."""
+    num_entities = 3_000_000_000
+    rows = [(2_999_999_999, 1, 5), (5, 0, 2_999_999_999), (5, 0, 2_999_999_999), (7, 1, 7)]
+    kg = KnowledgeGraph(num_entities, 2, rows)
+    unique, adjacency = _loop_graph(rows, True)
+    np.testing.assert_array_equal(kg.triples, unique)
+    for entity in (5, 7, 2_999_999_999, 0):
+        assert kg.neighbors(entity) == adjacency.get(entity, ())
+
+
+def test_build_memory_stays_near_the_triple_array():
+    """A 50k-triple int64 array builds with a bounded allocation peak.
+
+    The store keeps the (n, 3) int64 triples (24 B each) and builds them
+    through one sorted int64 key per triple; it measures ~56 B/triple.
+    A per-triple Python adjacency measured ~360-650 B/triple.
+    """
+    num_triples = 50_000
+    rng = np.random.default_rng(0)
+    array = np.stack(
+        [
+            rng.integers(0, 10_000, num_triples),
+            rng.integers(0, 8, num_triples),
+            rng.integers(0, 10_000, num_triples),
+        ],
+        axis=1,
+    )
+    tracemalloc.start()
+    try:
+        kg = KnowledgeGraph(10_000, 8, array)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kg.num_triples > 0.99 * num_triples
+    assert peak / num_triples < MAX_BUILD_BYTES_PER_TRIPLE
